@@ -16,8 +16,6 @@ Python library.  The public API is layered like a real database system:
 * ``database.install_extension("pgfmu" | "madlib")`` - the **extension
   layer**: UDF packs are declared with decorators and installed like
   PostgreSQL extensions; ``SELECT * FROM fmu_extensions()`` lists them.
-* :class:`repro.core.PgFmu` - the original monolithic facade, kept as thin
-  deprecated shims over the layers above.
 * :class:`repro.sqldb.Database` - the in-memory SQL engine on its own.
 * :func:`repro.serve` / :func:`repro.client.connect` - the **service
   layer**: a threaded socket server exposing one shared engine to many
@@ -34,7 +32,7 @@ surface.
 
 from typing import Optional
 
-from repro.core import InstanceHandle, ModelHandle, PgFmu, Session
+from repro.core import InstanceHandle, ModelHandle, Session
 from repro.fmi import FmuArchive, FmuModel, load_fmu
 from repro.modelica import compile_fmu
 from repro.sqldb import Connection, Cursor, Database, Extension
@@ -127,7 +125,6 @@ __all__ = [
     "serve",
     "ReproServer",
     "Session",
-    "PgFmu",
     "InstanceHandle",
     "ModelHandle",
     "Connection",

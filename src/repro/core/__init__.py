@@ -15,8 +15,8 @@ estimation stack (:mod:`repro.estimation`):
   including the multi-instance (MI) optimization.
 * :mod:`repro.core.simulate` - model simulation (Algorithm 4), including the
   shared-input-pass batch path behind ``simulate_many``.
-* :mod:`repro.core.session` - :class:`Session` (the modern layered surface)
-  and :class:`PgFmu` (the original facade, kept as deprecated shims).
+* :mod:`repro.core.session` - :class:`Session`, the owner of the database,
+  the catalogue and the three API layers.
 * :mod:`repro.core.handles` - :class:`ModelHandle` / :class:`InstanceHandle`,
   the fluent object layer returned by ``session.create(...)``.
 * :mod:`repro.core.udfs` - the ``pgfmu`` extension: every ``fmu_*`` function
@@ -37,13 +37,12 @@ Typical use::
 
 from repro.core.catalog import ModelCatalog
 from repro.core.handles import InstanceHandle, ModelHandle
-from repro.core.session import PgFmu, Session
+from repro.core.session import Session
 from repro.core.udfs import pgfmu_extension
 
 __all__ = [
     "ModelCatalog",
     "Session",
-    "PgFmu",
     "InstanceHandle",
     "ModelHandle",
     "pgfmu_extension",

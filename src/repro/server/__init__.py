@@ -11,8 +11,8 @@ split the way a real driver/server pair is:
 * :mod:`repro.server.server` - the TCP accept loop: thread-per-connection
   handlers, out-of-band cancel connections, graceful shutdown.
 * :mod:`repro.server.client` - the network driver
-  (:func:`repro.client.connect` / ``repro://host:port`` URLs) mirroring
-  the PEP-249 Cursor surface of the in-process driver.
+  (:func:`repro.client.connect` / ``repro://host:port`` URLs): the
+  in-process driver's cursor and connection base with a network backend.
 
 Typical use::
 

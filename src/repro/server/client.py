@@ -1,10 +1,12 @@
 """The network driver: ``repro.client.connect("repro://host:port")``.
 
-A :class:`RemoteConnection` / :class:`RemoteCursor` pair mirroring the
-in-process PEP-249 surface of :mod:`repro.sqldb.connection` - same
-``$1`` parameter style, same ``execute``/``executemany``/fetch family,
-same transaction and context-manager semantics - so code written against
-``repro.connect()`` ports to the server by swapping the connect call::
+A :class:`RemoteConnection` / :class:`RemoteCursor` pair built on the
+in-process PEP-249 surface of :mod:`repro.sqldb.connection`: the cursor
+(fetch family, ``description``, ``rowcount``, ``result``) and the
+connection's ``cursor``/``execute``/context manager are the same code,
+and only the backend differs - each statement or batch is one request -
+so code written against ``repro.connect()`` ports to the server by
+swapping the connect call::
 
     conn = repro.client.connect("repro://127.0.0.1:5433", token="s3cret")
     cur = conn.cursor()
@@ -32,11 +34,13 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro.errors as _errors
 from repro.errors import ProtocolError, ReproError, ServerError
 from repro.server import protocol
+from repro.sqldb.connection import BaseConnection, Cursor
+from repro.sqldb.result import ResultSet
 
 #: PEP-249 module attributes, matching the in-process driver.
 apilevel = "2.0"
@@ -78,8 +82,40 @@ def connect(
         raise
 
 
-class RemoteConnection:
+class RemoteCursor(Cursor):
+    """A DB-API-style cursor over a :class:`RemoteConnection`.
+
+    The shared :class:`~repro.sqldb.connection.Cursor` with the network
+    backend bound: the full result of each statement arrives with its
+    response, and the fetch family walks that local buffer.
+    """
+
+    def _run(self, sql: str, params: Optional[Sequence[Any]]) -> ResultSet:
+        return _result_of(
+            self._connection._roundtrip(
+                {"op": "execute", "sql": sql, "params": _params_list(params)}
+            )
+        )
+
+    def _run_many(self, sql: str, seq_of_params: Sequence[Sequence[Any]]) -> ResultSet:
+        # The whole batch ships as one request and runs server-side under
+        # the in-process driver's all-or-nothing contract.
+        return _result_of(
+            self._connection._roundtrip(
+                {
+                    "op": "executemany",
+                    "sql": sql,
+                    "params_seq": [_params_list(params) or [] for params in seq_of_params],
+                }
+            )
+        )
+
+
+class RemoteConnection(BaseConnection):
     """One session on a repro server; mirrors the in-process Connection."""
+
+    _cursor_class = RemoteCursor
+    _error = ServerError
 
     def __init__(self, sock: socket.socket, host: str, port: int, hello: Dict[str, Any]):
         self._sock: Optional[socket.socket] = sock
@@ -113,14 +149,6 @@ class RemoteConnection:
         if not response.get("ok"):
             raise _error_from_response(response)
         return response
-
-    def cursor(self) -> "RemoteCursor":
-        self._check_open()
-        return RemoteCursor(self)
-
-    def execute(self, sql: str, params: Optional[Sequence[Any]] = None) -> "RemoteCursor":
-        """Convenience: create a cursor and execute one statement on it."""
-        return self.cursor().execute(sql, params)
 
     def explain(self, sql: str, params: Optional[Sequence[Any]] = None) -> str:
         """The server-side query plan for ``sql``, as rendered text."""
@@ -238,167 +266,9 @@ class RemoteConnection:
         if sock is not None:
             _close_quietly(sock)
 
-    def __enter__(self) -> "RemoteConnection":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            if not self.closed and self._began:
-                if exc_type is None:
-                    self.commit()
-                else:
-                    self.rollback()
-        finally:
-            self.close()
-
-    def _check_open(self) -> None:
-        if self._sock is None:
-            raise ServerError("connection is closed")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self.closed else "open"
         return f"RemoteConnection({state}, repro://{self._host}:{self._port}, session={self.session_id})"
-
-
-class RemoteCursor:
-    """A DB-API-style cursor over a :class:`RemoteConnection`.
-
-    The full result of each statement arrives with the response, so the
-    fetch family and iteration walk a local buffer - semantics match the
-    in-process :class:`~repro.sqldb.connection.Cursor` exactly.
-    """
-
-    def __init__(self, connection: RemoteConnection):
-        self._connection = connection
-        self._columns: List[str] = []
-        self._rows: Optional[List[List[Any]]] = None
-        self._position = 0
-        self._rowcount = -1
-        self._closed = False
-        self.arraysize = 1
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def connection(self) -> RemoteConnection:
-        return self._connection
-
-    @property
-    def description(self) -> Optional[List[Tuple]]:
-        """PEP-249 column descriptions (name first, remaining fields None)."""
-        if self._rows is None or not self._columns:
-            return None
-        return [(name, None, None, None, None, None, None) for name in self._columns]
-
-    @property
-    def rowcount(self) -> int:
-        return self._rowcount
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-    def execute(self, sql: str, params: Optional[Sequence[Any]] = None) -> "RemoteCursor":
-        """Execute one statement on the session; returns the cursor."""
-        self._check_open()
-        self._clear()
-        response = self._connection._roundtrip(
-            {"op": "execute", "sql": sql, "params": _params_list(params)}
-        )
-        self._load(response)
-        return self
-
-    def executemany(self, sql: str, seq_of_params: Sequence[Sequence[Any]]) -> "RemoteCursor":
-        """Execute the statement once per parameter set, atomically.
-
-        The whole batch ships as one request and runs server-side under the
-        same all-or-nothing contract as the in-process driver: outside an
-        explicit transaction a failing set rolls back every set before it.
-        """
-        self._check_open()
-        self._clear()
-        response = self._connection._roundtrip(
-            {
-                "op": "executemany",
-                "sql": sql,
-                "params_seq": [_params_list(params) or [] for params in seq_of_params],
-            }
-        )
-        self._load(response)
-        return self
-
-    def cancel(self) -> None:
-        """Out-of-band cancel of the statement running on this cursor's
-        session (see :meth:`RemoteConnection.cancel`)."""
-        self._connection.cancel()
-
-    def _clear(self) -> None:
-        self._columns = []
-        self._rows = None
-        self._position = 0
-        self._rowcount = -1
-
-    def _load(self, response: Dict[str, Any]) -> None:
-        self._columns = list(response.get("columns") or [])
-        self._rows = list(response.get("rows") or [])
-        self._rowcount = response.get("rowcount", -1)
-
-    # ------------------------------------------------------------------ #
-    # Fetching
-    # ------------------------------------------------------------------ #
-    def fetchone(self) -> Optional[List[Any]]:
-        self._check_result()
-        if self._position >= len(self._rows):
-            return None
-        row = self._rows[self._position]
-        self._position += 1
-        return row
-
-    def fetchmany(self, size: Optional[int] = None) -> List[List[Any]]:
-        self._check_result()
-        count = self.arraysize if size is None else int(size)
-        rows = self._rows[self._position : self._position + count]
-        self._position += len(rows)
-        return rows
-
-    def fetchall(self) -> List[List[Any]]:
-        self._check_result()
-        rows = self._rows[self._position :]
-        self._position = len(self._rows)
-        return rows
-
-    def __iter__(self) -> Iterator[List[Any]]:
-        return self
-
-    def __next__(self) -> List[Any]:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        self._closed = True
-        self._rows = None
-
-    def __enter__(self) -> "RemoteCursor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServerError("cursor is closed")
-        self._connection._check_open()
-
-    def _check_result(self) -> None:
-        self._check_open()
-        if self._rows is None:
-            raise ServerError("no query has been executed on this cursor")
 
 
 # --------------------------------------------------------------------------- #
@@ -427,6 +297,14 @@ def _params_list(params: Optional[Sequence[Any]]) -> Optional[List[Any]]:
     if params is None:
         return None
     return list(params)
+
+
+def _result_of(response: Dict[str, Any]) -> ResultSet:
+    """The response's result, holding the decoded rows as they are: they
+    are fresh lists already, so the per-row copy of ``ResultSet`` is skipped."""
+    result = ResultSet(response.get("columns") or [], [], response.get("rowcount", -1))
+    result.rows = response.get("rows") or []
+    return result
 
 
 def _error_from_response(response: Dict[str, Any]) -> ReproError:

@@ -115,6 +115,9 @@ class ReproServer:
         self._stopping.set()
         listener, self._listener = self._listener, None
         if listener is not None:
+            # Closing alone does not wake a thread blocked in accept() on
+            # Linux; shutting the listener down first does, at once.
+            _shutdown_quietly(listener)
             _close_quietly(listener)
         with self._handlers_mutex:
             handlers = dict(self._handlers)

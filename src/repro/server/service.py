@@ -30,7 +30,7 @@ import threading
 from typing import Any, Dict, Iterable, Mapping, Optional, Union
 
 from repro.errors import AuthError, ProtocolError, ReproError
-from repro.sqldb.connection import Connection
+from repro.sqldb.connection import Connection, Cursor
 from repro.sqldb.database import Database
 
 
@@ -165,25 +165,14 @@ class ReproService:
             cursor = connection.cursor().execute(
                 _sql_field(request), request.get("params")
             )
-            result = cursor.result
-            return {
-                "ok": True,
-                "columns": list(result.columns) if result is not None else [],
-                "rows": result.rows if result is not None else [],
-                "rowcount": cursor.rowcount,
-            }
+            return _rows_response(cursor)
         if op == "executemany":
             params_seq = request.get("params_seq")
             if not isinstance(params_seq, list):
                 raise ProtocolError("executemany requires a params_seq list")
-            cursor = connection.cursor().executemany(_sql_field(request), params_seq)
-            result = cursor.result
-            return {
-                "ok": True,
-                "columns": list(result.columns) if result is not None else [],
-                "rows": result.rows if result is not None else [],
-                "rowcount": cursor.rowcount,
-            }
+            return _rows_response(
+                connection.cursor().executemany(_sql_field(request), params_seq)
+            )
         if op == "explain":
             return {
                 "ok": True,
@@ -207,6 +196,17 @@ class ReproService:
         if op == "ping":
             return {"ok": True, "user": session.user, "session": session.id}
         raise ProtocolError(f"unknown operation {op!r}")
+
+
+def _rows_response(cursor: Cursor) -> Dict[str, Any]:
+    """The response to a statement or batch: its result and rowcount."""
+    result = cursor.result
+    return {
+        "ok": True,
+        "columns": result.columns,
+        "rows": result.rows,
+        "rowcount": cursor.rowcount,
+    }
 
 
 def _sql_field(request: Mapping[str, Any]) -> str:

@@ -49,7 +49,7 @@ _UNSET = object()
 
 
 class Cursor:
-    """A DB-API-style cursor bound to a :class:`Connection`.
+    """A DB-API-style cursor bound to a driver connection.
 
     Supports ``execute``/``executemany``, the ``fetchone``/``fetchmany``/
     ``fetchall`` family, iteration, and a PEP-249 ``description``/
@@ -67,13 +67,17 @@ class Cursor:
     :attr:`result` property exposes the underlying
     :class:`~repro.sqldb.result.ResultSet` (column names, ``to_text()``,
     ``scalar()``).
+
+    This class is the whole cursor for every driver.  A driver binds its
+    backend by overriding :meth:`_run` and :meth:`_run_many` (the network
+    driver's :class:`~repro.server.client.RemoteCursor` does); misuse
+    raises the connection's error type.
     """
 
-    def __init__(self, connection: "Connection"):
+    def __init__(self, connection: "BaseConnection"):
         self._connection = connection
         self._result: Optional[ResultSet] = None
         self._position = 0
-        self._rowcount = -1
         self._closed = False
         self.arraysize = 1
 
@@ -81,7 +85,7 @@ class Cursor:
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def connection(self) -> "Connection":
+    def connection(self) -> "BaseConnection":
         return self._connection
 
     @property
@@ -93,7 +97,9 @@ class Cursor:
 
     @property
     def rowcount(self) -> int:
-        return self._rowcount
+        """Rows affected (DML; summed over an ``executemany`` batch) or
+        returned; -1 before any statement and after a failed one."""
+        return -1 if self._result is None else self._result.rowcount
 
     @property
     def result(self) -> Optional[ResultSet]:
@@ -105,14 +111,8 @@ class Cursor:
     # ------------------------------------------------------------------ #
     def execute(self, sql: str, params: Optional[Sequence[Any]] = None) -> "Cursor":
         """Execute one statement; returns the cursor for chaining."""
-        self._check_open()
-        # Drop the previous result first: a failing statement must leave the
-        # cursor empty, not silently serving the prior query's rows.
-        self._result = None
-        self._position = 0
-        self._rowcount = -1
-        self._result = self._connection._execute(sql, params)
-        self._rowcount = self._result.rowcount
+        self._clear()
+        self._result = self._run(sql, params)
         return self
 
     def cancel(self) -> None:
@@ -125,7 +125,8 @@ class Cursor:
         :class:`~repro.errors.CancelledError` at its next check point
         (executor dispatch, solver step, plan operator, or while queued on
         the statement lock).  A no-op when this connection has nothing
-        executing.
+        executing.  The network driver sends the cancel out of band (see
+        :meth:`repro.server.client.RemoteConnection.cancel`).
         """
         self._connection.cancel()
 
@@ -143,55 +144,70 @@ class Cursor:
         the statements simply join it (the caller's ``commit``/``rollback``
         decides their fate).
         """
+        self._clear()
+        self._result = self._run_many(sql, seq_of_params)
+        return self
+
+    def _clear(self) -> None:
+        # Drop the previous result before running: a failing statement must
+        # leave the cursor empty, not silently serving the prior query's rows.
         self._check_open()
-        connection = self._connection
-        total = 0
-        self._result = ResultSet([], [], rowcount=0)
+        self._result = None
         self._position = 0
-        self._rowcount = 0
-        implicit = not connection.database.in_transaction
+
+    def _run(self, sql: str, params: Optional[Sequence[Any]]) -> ResultSet:
+        """Run one statement on the in-process engine."""
+        connection = self._connection
+        if connection._statement_timeout is _UNSET:
+            return connection.database.execute(sql, params, owner=connection)
+        return connection.database.execute(
+            sql, params, owner=connection, timeout=connection._statement_timeout
+        )
+
+    def _run_many(self, sql: str, seq_of_params: Sequence[Sequence[Any]]) -> ResultSet:
+        """Run a batch in process, inside an implicit transaction unless an
+        explicit one is open; the last result carries the summed rowcount."""
+        database = self._connection.database
+        result, total = ResultSet([], [], rowcount=0), 0
+        implicit = not database.in_transaction
         if implicit:
-            connection.database.begin()
+            database.begin()
         try:
             for params in seq_of_params:
-                self._result = connection._execute(sql, params)
-                total += self._result.rowcount
-                self._rowcount = total
+                result = self._run(sql, params)
+                total += result.rowcount
             if implicit:
-                connection.database.commit()
+                database.commit()
         except BaseException:
-            # Same invariant as execute(): a failure leaves the cursor empty
-            # - and, under the implicit transaction, the table unchanged.
-            if implicit and connection.database.in_transaction:
-                connection.database.rollback()
-            self._result = None
-            self._rowcount = -1
+            # All-or-nothing: the implicit transaction undoes earlier sets.
+            if implicit and database.in_transaction:
+                database.rollback()
             raise
-        return self
+        result.rowcount = total
+        return result
 
     # ------------------------------------------------------------------ #
     # Fetching
     # ------------------------------------------------------------------ #
     def fetchone(self) -> Optional[List[Any]]:
-        self._check_result()
-        if self._position >= len(self._result.rows):
+        rows = self._rows()
+        if self._position >= len(rows):
             return None
-        row = self._result.rows[self._position]
+        row = rows[self._position]
         self._position += 1
         return row
 
     def fetchmany(self, size: Optional[int] = None) -> List[List[Any]]:
-        self._check_result()
         count = self.arraysize if size is None else int(size)
-        rows = self._result.rows[self._position : self._position + count]
+        rows = self._rows()[self._position : self._position + count]
         self._position += len(rows)
         return rows
 
     def fetchall(self) -> List[List[Any]]:
-        self._check_result()
-        rows = self._result.rows[self._position :]
-        self._position = len(self._result.rows)
-        return rows
+        rows = self._rows()
+        remaining = rows[self._position :]
+        self._position = len(rows)
+        return remaining
 
     def __iter__(self) -> Iterator[List[Any]]:
         return self
@@ -217,16 +233,58 @@ class Cursor:
 
     def _check_open(self) -> None:
         if self._closed:
-            raise SqlExecutionError("cursor is closed")
+            raise self._connection._error("cursor is closed")
         self._connection._check_open()
 
-    def _check_result(self) -> None:
+    def _rows(self) -> List[List[Any]]:
         self._check_open()
         if self._result is None:
-            raise SqlExecutionError("no query has been executed on this cursor")
+            raise self._connection._error("no query has been executed on this cursor")
+        return self._result.rows
 
 
-class Connection:
+class BaseConnection:
+    """What every driver connection shares: cursors, the :meth:`execute`
+    convenience, the open check, and the context manager.
+
+    A driver names its cursor class and misuse error type and supplies
+    ``closed``, ``in_transaction``, ``commit``, ``rollback`` and ``close``;
+    ``_began`` records whether *this* connection opened the transaction.
+    """
+
+    _cursor_class = Cursor
+    _error = SqlExecutionError
+
+    def cursor(self) -> Cursor:
+        self._check_open()
+        return self._cursor_class(self)
+
+    def execute(self, sql: str, params: Optional[Sequence[Any]] = None) -> Cursor:
+        """Convenience: create a cursor and execute one statement on it."""
+        return self.cursor().execute(sql, params)
+
+    def __enter__(self):
+        self._check_open()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """Commit on success, roll back on error - only a transaction this
+        connection began - then close."""
+        try:
+            if not self.closed and self._began and self.in_transaction:
+                if exc_type is None:
+                    self.commit()
+                else:
+                    self.rollback()
+        finally:
+            self.close()
+
+    def _check_open(self) -> None:
+        if self.closed:
+            raise self._error("connection is closed")
+
+
+class Connection(BaseConnection):
     """A DB-API-style connection over a :class:`~repro.sqldb.database.Database`.
 
     Obtained from :func:`repro.connect` (full pgFMU session) or
@@ -250,26 +308,6 @@ class Connection:
         self._closed = False
         self._began = False
         self._statement_timeout: Any = _UNSET
-
-    # ------------------------------------------------------------------ #
-    # Cursors and execution
-    # ------------------------------------------------------------------ #
-    def cursor(self) -> Cursor:
-        self._check_open()
-        return Cursor(self)
-
-    def execute(self, sql: str, params: Optional[Sequence[Any]] = None) -> Cursor:
-        """Convenience: create a cursor and execute one statement on it."""
-        return self.cursor().execute(sql, params)
-
-    def _execute(self, sql: str, params: Optional[Sequence[Any]] = None):
-        """Run a statement with this connection as the cancel-token owner
-        and this connection's (possibly overridden) statement timeout."""
-        if self._statement_timeout is _UNSET:
-            return self.database.execute(sql, params, owner=self)
-        return self.database.execute(
-            sql, params, owner=self, timeout=self._statement_timeout
-        )
 
     def cancel(self) -> bool:
         """Cancel the statement currently executing on this connection.
@@ -355,23 +393,6 @@ class Connection:
             self.database.rollback()
         self._began = False
         self._closed = True
-
-    def __enter__(self) -> "Connection":
-        self._check_open()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if not self._closed and self._began and self.database.in_transaction:
-            if exc_type is None:
-                self.database.commit()
-            else:
-                self.database.rollback()
-            self._began = False
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SqlExecutionError("connection is closed")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"

@@ -254,17 +254,21 @@ def evaluate(expr: Expression, row: Dict[str, Any], ctx: EvalContext) -> Any:
 
     if isinstance(expr, InList):
         value = _unwrap(evaluate(expr.operand, row, ctx))
-        if value is None:
-            return None
         if expr.subquery is not None:
             result = ctx.database.execute_statement(expr.subquery, ctx.params, outer_row=row)
             candidates = [r[0] for r in result.rows]
         else:
             candidates = [_unwrap(evaluate(item, row, ctx)) for item in expr.items]
-        found = any(
-            _apply_binary("=", value, candidate) is True for candidate in candidates
-        )
-        return (not found) if expr.negated else found
+        # Three-valued: without a match, any NULL comparison (a NULL operand
+        # or a NULL candidate) makes the answer unknown, not false.  An
+        # empty subquery gives false (true for NOT IN) even for NULL.
+        unknown = False
+        for candidate in candidates:
+            match = _apply_binary("=", value, candidate)
+            if match is True:
+                return not expr.negated
+            unknown = unknown or match is None
+        return None if unknown else expr.negated
 
     if isinstance(expr, CaseExpression):
         for condition, result_expr in expr.whens:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.baseline.workflow import StepTiming, WorkflowResult
-from repro.core.session import PgFmu
+from repro.core.session import Session
 from repro.errors import ReproError
 from repro.estimation.objective import MeasurementSet
 from repro.estimation.metrics import rmse
@@ -49,7 +49,7 @@ class PgFmuWorkflow:
 
     def __init__(
         self,
-        session: PgFmu,
+        session: Session,
         archive: FmuArchive,
         measurements_table: str,
         parameters: Sequence[str],

@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import PgFmu
+from repro.core import Session
 from repro.data.loaders import load_dataset
 from repro.data.nist import generate_hp1_dataset
 from repro.fmi import load_fmu
@@ -224,7 +224,7 @@ def measurements_db(hp1_dataset):
 @pytest.fixture()
 def session(tmp_path):
     """A pgFMU session with a fast calibration budget."""
-    return PgFmu(
+    return Session(
         storage_dir=str(tmp_path / "fmu_storage"),
         ga_options=dict(FAST_GA_OPTIONS),
         local_options=dict(FAST_LOCAL_OPTIONS),

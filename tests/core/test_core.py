@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import PgFmu
 from repro.core.parest import ParameterEstimator
 from repro.data.loaders import load_dataset
 from repro.data.nist import generate_hp1_dataset
@@ -37,7 +36,7 @@ class TestCatalogue:
         assert db.execute("SELECT count(*) FROM modelinstancevalues").scalar() == n_variables
 
     def test_catalogue_is_queryable_with_plain_sql(self, session_with_data):
-        rows = session_with_data.sql(
+        rows = session_with_data.execute(
             "SELECT varname FROM modelvariable WHERE vartype = 'parameter' ORDER BY varname"
         ).rows
         assert [r[0] for r in rows] == ["Cp", "R"]
@@ -46,7 +45,7 @@ class TestCatalogue:
         storage = list(session_with_data.catalog.storage_dir.glob("*.fmu"))
         assert len(storage) == 1
         # A second instance of the same model must not add a new archive.
-        session_with_data.copy("HP1Instance1", "HP1Instance2")
+        session_with_data.instance("HP1Instance1").copy("HP1Instance2")
         assert len(list(session_with_data.catalog.storage_dir.glob("*.fmu"))) == 1
 
 
@@ -62,7 +61,7 @@ class TestInstanceManagement:
     def test_create_from_fmu_file(self, session, tmp_path):
         path = tmp_path / "hp0.fmu"
         build_hp0_archive().write(path)
-        instance = session.sql(f"SELECT fmu_create('{path}', 'HP0FromFile')").scalar()
+        instance = session.execute(f"SELECT fmu_create('{path}', 'HP0FromFile')").scalar()
         assert instance == "HP0FromFile"
 
     def test_swapped_arguments_accepted(self, session, tmp_path):
@@ -91,54 +90,54 @@ class TestInstanceManagement:
         assert session.database.execute("SELECT count(*) FROM modelinstance").scalar() == 2
 
     def test_copy_clones_values(self, session_with_data):
-        session_with_data.set_initial("HP1Instance1", "Cp", 2.5)
-        session_with_data.copy("HP1Instance1", "HP1Instance2")
-        assert session_with_data.get("HP1Instance2", "Cp")["initialvalue"] == pytest.approx(2.5)
+        session_with_data.instance("HP1Instance1").set_initial("Cp", 2.5)
+        session_with_data.instance("HP1Instance1").copy("HP1Instance2")
+        assert session_with_data.instance("HP1Instance2").get("Cp")["initialvalue"] == pytest.approx(2.5)
 
     def test_variables_and_get(self, session_with_data):
-        rows = session_with_data.variables("HP1Instance1")
+        rows = session_with_data.instance("HP1Instance1").variables()
         by_name = {row["varname"]: row for row in rows}
         assert by_name["Cp"]["vartype"] == "parameter"
         assert by_name["u"]["vartype"] == "input"
         assert by_name["y"]["vartype"] == "output"
         assert by_name["x"]["vartype"] == "state"
-        values = session_with_data.get("HP1Instance1", "R")
+        values = session_with_data.instance("HP1Instance1").get("R")
         assert values["initialvalue"] == pytest.approx(1.5)
         assert values["minvalue"] == pytest.approx(0.1)
         assert values["maxvalue"] == pytest.approx(10.0)
 
     def test_set_initial_min_max_and_reset(self, session_with_data):
-        session_with_data.set_initial("HP1Instance1", "Cp", 3.0)
-        session_with_data.set_minimum("HP1Instance1", "Cp", 0.5)
-        session_with_data.set_maximum("HP1Instance1", "Cp", 5.0)
-        values = session_with_data.get("HP1Instance1", "Cp")
+        session_with_data.instance("HP1Instance1").set_initial("Cp", 3.0)
+        session_with_data.instance("HP1Instance1").set_minimum("Cp", 0.5)
+        session_with_data.instance("HP1Instance1").set_maximum("Cp", 5.0)
+        values = session_with_data.instance("HP1Instance1").get("Cp")
         assert values["initialvalue"] == pytest.approx(3.0)
         assert values["minvalue"] == pytest.approx(0.5)
         assert values["maxvalue"] == pytest.approx(5.0)
-        session_with_data.reset("HP1Instance1")
-        assert session_with_data.get("HP1Instance1", "Cp")["initialvalue"] == pytest.approx(1.5)
+        session_with_data.instance("HP1Instance1").reset()
+        assert session_with_data.instance("HP1Instance1").get("Cp")["initialvalue"] == pytest.approx(1.5)
 
     def test_set_unknown_variable_rejected(self, session_with_data):
         with pytest.raises(PgFmuError):
-            session_with_data.set_initial("HP1Instance1", "ghost", 1.0)
+            session_with_data.instance("HP1Instance1").set_initial("ghost", 1.0)
 
     def test_delete_instance_and_model(self, session_with_data):
         model_id = session_with_data.instances.model_id_of("HP1Instance1")
-        session_with_data.copy("HP1Instance1", "HP1Instance2")
-        session_with_data.delete_instance("HP1Instance2")
+        session_with_data.instance("HP1Instance1").copy("HP1Instance2")
+        session_with_data.instance("HP1Instance2").delete()
         with pytest.raises(UnknownInstanceError):
-            session_with_data.variables("HP1Instance2")
-        session_with_data.delete_model(model_id)
+            session_with_data.instance("HP1Instance2").variables()
+        session_with_data.model(model_id).delete()
         assert session_with_data.database.execute("SELECT count(*) FROM model").scalar() == 0
         assert session_with_data.database.execute("SELECT count(*) FROM modelinstancevalues").scalar() == 0
         with pytest.raises(UnknownModelError):
-            session_with_data.delete_model(model_id)
+            session_with_data.model(model_id).delete()
 
     def test_unknown_instance_errors(self, session):
         with pytest.raises(UnknownInstanceError):
-            session.variables("ghost")
+            session.instance("ghost").variables()
         with pytest.raises(UnknownInstanceError):
-            session.reset("ghost")
+            session.instance("ghost").reset()
 
 
 # --------------------------------------------------------------------------- #
@@ -146,20 +145,20 @@ class TestInstanceManagement:
 # --------------------------------------------------------------------------- #
 class TestSqlUdfSurface:
     def test_fmu_variables_where_filter(self, session_with_data):
-        result = session_with_data.sql(
+        result = session_with_data.execute(
             "SELECT * FROM fmu_variables('HP1Instance1') AS f WHERE f.vartype = 'parameter'"
         )
         assert sorted(row[1] for row in result.rows) == ["Cp", "R"]
 
     def test_fmu_get_and_setters_via_sql(self, session_with_data):
-        session_with_data.sql("SELECT fmu_set_initial('HP1Instance1', 'Cp', 2)")
-        session_with_data.sql("SELECT fmu_set_minimum('HP1Instance1', 'Cp', 1)")
-        session_with_data.sql("SELECT fmu_set_maximum('HP1Instance1', 'Cp', 4)")
-        row = session_with_data.sql("SELECT * FROM fmu_get('HP1Instance1', 'Cp')").rows[0]
+        session_with_data.execute("SELECT fmu_set_initial('HP1Instance1', 'Cp', 2)")
+        session_with_data.execute("SELECT fmu_set_minimum('HP1Instance1', 'Cp', 1)")
+        session_with_data.execute("SELECT fmu_set_maximum('HP1Instance1', 'Cp', 4)")
+        row = session_with_data.execute("SELECT * FROM fmu_get('HP1Instance1', 'Cp')").rows[0]
         assert row == [2.0, 1.0, 4.0]
 
     def test_fmu_simulate_long_format(self, session_with_data):
-        result = session_with_data.sql(
+        result = session_with_data.execute(
             "SELECT simulationtime, instanceid, varname, value "
             "FROM fmu_simulate('HP1Instance1', 'SELECT * FROM measurements') "
             "WHERE varname IN ('y', 'x') ORDER BY simulationtime LIMIT 6"
@@ -169,8 +168,8 @@ class TestSqlUdfSurface:
         assert set(row[2] for row in result.rows) == {"x", "y"}
 
     def test_lateral_multi_instance_simulation(self, session_with_data):
-        session_with_data.sql("SELECT fmu_copy('HP1Instance1', 'HP1Instance2')")
-        result = session_with_data.sql(
+        session_with_data.execute("SELECT fmu_copy('HP1Instance1', 'HP1Instance2')")
+        result = session_with_data.execute(
             "SELECT id, count(*) AS n FROM generate_series(1, 2) AS id, "
             "LATERAL fmu_simulate('HP1Instance' || id::text, 'SELECT * FROM measurements') AS f "
             "GROUP BY id ORDER BY id"
@@ -179,13 +178,13 @@ class TestSqlUdfSurface:
         assert len(counts) == 2 and counts[0] == counts[1] > 0
 
     def test_fmu_models_and_instances_catalog_functions(self, session_with_data):
-        models = session_with_data.sql("SELECT * FROM fmu_models()")
-        instances = session_with_data.sql("SELECT * FROM fmu_instances()")
+        models = session_with_data.execute("SELECT * FROM fmu_models()")
+        instances = session_with_data.execute("SELECT * FROM fmu_instances()")
         assert len(models) == 1
         assert len(instances) == 1
 
     def test_fmu_parest_sql_returns_error_array(self, session_with_data):
-        errors = session_with_data.sql(
+        errors = session_with_data.execute(
             "SELECT fmu_parest('{HP1Instance1}', '{SELECT * FROM measurements}', '{Cp, R}')"
         ).scalar()
         assert errors.startswith("{") and errors.endswith("}")
@@ -194,8 +193,8 @@ class TestSqlUdfSurface:
     def test_nested_composition_query(self, session_with_data, tmp_path):
         mo_path = tmp_path / "hp1_nested.mo"
         mo_path.write_text(hp1_source().replace("model HP1", "model HP1N").replace("end HP1;", "end HP1N;"))
-        session_with_data.sql(f"SELECT fmu_create('{mo_path}', 'HPNested')")
-        result = session_with_data.sql(
+        session_with_data.execute(f"SELECT fmu_create('{mo_path}', 'HPNested')")
+        result = session_with_data.execute(
             "SELECT count(*) FROM fmu_simulate("
             "fmu_calibrate('HPNested', 'SELECT * FROM measurements', '{Cp, R}'), "
             "'SELECT * FROM measurements')"
@@ -222,7 +221,7 @@ class TestParest:
     def test_mi_optimization_uses_warm_start_for_similar_data(self, session_with_data, hp1_week_dataset):
         similar = scale_dataset(hp1_week_dataset, 1.05, columns=["x", "y"])
         load_dataset(session_with_data.database, similar, table_name="measurements_2")
-        session_with_data.copy("HP1Instance1", "HP1Instance2")
+        session_with_data.instance("HP1Instance1").copy("HP1Instance2")
         outcomes = session_with_data.parest(
             ["HP1Instance1", "HP1Instance2"],
             ["SELECT * FROM measurements", "SELECT * FROM measurements_2"],
@@ -237,7 +236,7 @@ class TestParest:
     def test_mi_optimization_skipped_for_dissimilar_data(self, session_with_data, hp1_week_dataset):
         dissimilar = scale_dataset(hp1_week_dataset, 1.6, columns=["x", "y"])
         load_dataset(session_with_data.database, dissimilar, table_name="measurements_3")
-        session_with_data.copy("HP1Instance1", "HP1Instance3")
+        session_with_data.instance("HP1Instance1").copy("HP1Instance3")
         outcomes = session_with_data.parest(
             ["HP1Instance1", "HP1Instance3"],
             ["SELECT * FROM measurements", "SELECT * FROM measurements_3"],
@@ -249,7 +248,7 @@ class TestParest:
     def test_pgfmu_minus_disables_mi_optimization(self, session_with_data, hp1_week_dataset):
         similar = scale_dataset(hp1_week_dataset, 1.03, columns=["x", "y"])
         load_dataset(session_with_data.database, similar, table_name="measurements_4")
-        session_with_data.copy("HP1Instance1", "HP1Instance4")
+        session_with_data.instance("HP1Instance1").copy("HP1Instance4")
         outcomes = session_with_data.parest(
             ["HP1Instance1", "HP1Instance4"],
             ["SELECT * FROM measurements", "SELECT * FROM measurements_4"],
@@ -265,7 +264,7 @@ class TestParest:
             session_with_data.parest([], [])
 
     def test_empty_measurement_query_rejected(self, session_with_data):
-        session_with_data.sql("CREATE TABLE empty_measurements (time double precision, x double precision)")
+        session_with_data.execute("CREATE TABLE empty_measurements (time double precision, x double precision)")
         with pytest.raises(PgFmuError):
             session_with_data.parest(
                 ["HP1Instance1"], ["SELECT * FROM empty_measurements"], parameters=["Cp"]
@@ -286,7 +285,7 @@ class TestParest:
 class TestSimulate:
     def test_simulation_result_and_rows_agree(self, session_with_data):
         result = session_with_data.simulate("HP1Instance1", "SELECT * FROM measurements")
-        rows = session_with_data.simulate_rows("HP1Instance1", "SELECT * FROM measurements")
+        rows = session_with_data.instance("HP1Instance1").simulate_rows("SELECT * FROM measurements")
         assert len(rows) == len(result.time) * 2  # x and y
         assert rows[0][1] == "HP1Instance1"
 
@@ -302,8 +301,8 @@ class TestSimulate:
             session_with_data.simulate("HP1Instance1")
 
     def test_input_query_without_time_column_rejected(self, session_with_data):
-        session_with_data.sql("CREATE TABLE no_time (u double precision)")
-        session_with_data.sql("INSERT INTO no_time VALUES (0.5)")
+        session_with_data.execute("CREATE TABLE no_time (u double precision)")
+        session_with_data.execute("INSERT INTO no_time VALUES (0.5)")
         with pytest.raises(SimulationInputError):
             session_with_data.simulate("HP1Instance1", "SELECT * FROM no_time")
 

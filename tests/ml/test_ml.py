@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MlError
-from repro.ml import ArimaModel, ArimaOrder, LinearRegression, LogisticRegression, register_ml_udfs
+from repro.ml import ArimaModel, ArimaOrder, LinearRegression, LogisticRegression
 from repro.sqldb import Database
 
 
@@ -159,7 +159,7 @@ class TestLinearRegression:
 @pytest.fixture()
 def ml_db():
     db = Database()
-    register_ml_udfs(db)
+    db.install_extension("madlib")
     return db
 
 

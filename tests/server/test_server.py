@@ -314,3 +314,19 @@ class TestShutdown:
         with ReproServer(Database()) as srv:
             with repro.client.connect(srv.url) as c:
                 assert c.execute("SELECT 1").fetchone() == [1]
+
+    def test_idle_shutdown_is_prompt_and_joins_every_thread(self):
+        before = set(threading.enumerate())
+        server = serve()
+        with repro.client.connect(server.url) as c:
+            assert c.execute("SELECT 1").fetchone() == [1]
+        started = time.perf_counter()
+        server.shutdown()
+        elapsed = time.perf_counter() - started
+        assert elapsed < 0.2, f"shutdown took {elapsed:.3f} s"
+        leftover = [
+            t.name
+            for t in threading.enumerate()
+            if t not in before and t.name.startswith("repro-server-")
+        ]
+        assert leftover == []

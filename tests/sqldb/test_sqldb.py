@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +333,54 @@ class TestSelectExecution:
     def test_division_by_zero(self, people_db):
         with pytest.raises(SqlExecutionError):
             people_db.execute("SELECT 1 / 0")
+
+
+class TestInNullSemantics:
+    """``IN``/``NOT IN`` follow SQL three-valued logic; stdlib ``sqlite3``
+    (which agrees with PostgreSQL here) is the independent oracle."""
+
+    @staticmethod
+    def _both(statements, query):
+        db, oracle = Database(), sqlite3.connect(":memory:")
+        for statement in statements:
+            db.execute(statement)
+            oracle.execute(statement)
+        ours = db.execute(query).rows[0][0]
+        theirs = oracle.execute(query).fetchone()[0]
+        oracle.close()
+        return ours, theirs
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("SELECT 1 IN (2, NULL)", None),
+            ("SELECT 3 NOT IN (1, NULL)", None),
+            ("SELECT 1 IN (1, NULL)", True),
+            ("SELECT 1 NOT IN (1, NULL)", False),
+            ("SELECT NULL IN (1, 2)", None),
+            ("SELECT 3 NOT IN (1, 2)", True),
+        ],
+    )
+    def test_list_matches_sqlite(self, query, expected):
+        ours, theirs = self._both([], query)
+        assert ours == expected
+        assert ours == (None if theirs is None else bool(theirs))
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("SELECT count(*) FROM t WHERE a NOT IN (SELECT a FROM u)", 0),
+            ("SELECT count(*) FROM t WHERE a IN (SELECT a FROM u)", 1),
+            ("SELECT count(*) FROM t WHERE NOT (a IN (SELECT a FROM u))", 0),
+            ("SELECT count(*) FROM t WHERE a NOT IN (SELECT a FROM empty)", 8),
+        ],
+    )
+    def test_subquery_matches_sqlite(self, query, expected):
+        setup = ["CREATE TABLE t (a integer)", "CREATE TABLE u (a integer)",
+                 "CREATE TABLE empty (a integer)"]
+        setup += [f"INSERT INTO t VALUES ({v})" for v in (1, 2, 3, 4, 5, 6, 7, "NULL")]
+        setup += ["INSERT INTO u VALUES (7)", "INSERT INTO u VALUES (NULL)"]
+        assert self._both(setup, query) == (expected, expected)
 
 
 class TestDmlAndDdl:

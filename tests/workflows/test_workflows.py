@@ -17,7 +17,7 @@ from repro.workflows import (
     run_mi_scenario,
     run_si_scenario,
 )
-from repro.core import PgFmu
+from repro.core import Session
 
 # The global-search budget is kept well above the local-search budget so the
 # cost asymmetry that drives the MI speedup is visible even at test scale.
@@ -105,7 +105,7 @@ class TestPythonWorkflow:
 class TestPgFmuWorkflow:
     def test_produces_comparable_results(self, hp1_week_dataset, tmp_path):
         spec = get_model_spec("HP1")
-        session = PgFmu(
+        session = Session(
             storage_dir=str(tmp_path / "storage"),
             ga_options=FAST_SETTINGS["ga_options"],
             local_options=FAST_SETTINGS["local_options"],
