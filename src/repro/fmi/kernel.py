@@ -435,8 +435,8 @@ class SimulationKernel:
     become positions in the ``x``/``u``/``p`` vectors (declaration order),
     and every generated function indexes those vectors directly instead of
     building a namespace dict.  Scalar kernels unpack ``x`` with ``tolist()``
-    so the per-step arithmetic runs on plain Python floats, exactly like the
-    interpreted ``eval`` path.
+    and take ``u`` as a list of Python floats, so the per-step arithmetic
+    runs on plain Python floats, exactly like the interpreted ``eval`` path.
     """
 
     __slots__ = (

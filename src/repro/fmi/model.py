@@ -72,10 +72,11 @@ class _KernelBindings:
     """Inputs and parameters bound once per ``simulate`` call into the
     compiled kernel's positional layout.
 
-    The solver's right-hand side then only performs a clamped piecewise-linear
-    interpolation per bound series (plain-Python ``bisect``, which is much
-    cheaper per step than a ``np.interp`` scalar call) and a single kernel
-    invocation - no namespace dict, no per-step rebinding.
+    The solver hands the kernel its input vector ``u``: fixed-step solvers
+    read it from :meth:`input_table`, one vectorized interpolation per bound
+    series and solve; the adaptive solver calls :meth:`input_at` once per
+    stage.  Both yield lists of Python floats, so the kernel's arithmetic
+    stays plain-float, and neither rebuilds a namespace dict per step.
     """
 
     __slots__ = ("u", "series")
@@ -93,7 +94,8 @@ class _KernelBindings:
                 self.series.append((slot, times.tolist(), values.tolist(), times, values))
 
     def input_at(self, t: float) -> List[float]:
-        """The input vector at time ``t`` (clamped like ``np.interp``)."""
+        """The input vector at time ``t`` (clamped like ``np.interp``); one
+        reused list, consumed by the kernel call it is passed to."""
         u = self.u
         for slot, times, values, _, _ in self.series:
             if t <= times[0]:
@@ -119,16 +121,51 @@ class _KernelBindings:
             matrix[:, slot] = np.interp(times, series_times, series_values)
         return matrix
 
+    def input_table(self, times: Sequence[float]) -> List[List[float]]:
+        """The stage input table of a fixed-step solve: one row of Python
+        floats per stage time.  Vectorized ``np.interp`` is bit-identical to
+        :meth:`input_at`, so the trajectory does not depend on the path."""
+        return self.input_matrix(np.asarray(times, dtype=float)).tolist()
+
+
+class _FleetInputTable:
+    """The stage input table of a fixed-step fleet solve.
+
+    Holds only the measured series at every stage time, an
+    ``(n_times, n_series)`` matrix whose size does not depend on the fleet
+    size.  Item ``i`` writes row ``i`` into the bound columns of the
+    bindings' reusable ``(N, n_inputs)`` buffer, whose other columns hold
+    the per-row start values, and returns the buffer.
+    """
+
+    __slots__ = ("values", "_columns", "_buffer")
+
+    def __init__(self, values: np.ndarray, slots: List[int], buffer: np.ndarray):
+        self.values = values
+        # A slice writes ~2x faster than an index array; bound slots are
+        # usually contiguous (every input measured).
+        if slots and slots == list(range(slots[0], slots[-1] + 1)):
+            self._columns = slice(slots[0], slots[-1] + 1)
+        else:
+            self._columns = np.asarray(slots, dtype=np.intp)
+        self._buffer = buffer
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        self._buffer[:, self._columns] = self.values[index]
+        return self._buffer
+
 
 class _BatchKernelBindings:
     """Fleet inputs bound once per ``simulate_batch`` call.
 
     Every instance of a fleet shares the measured input series (bound
     columns are identical across rows); per-instance input *start* values
-    fill the unbound columns, one row per instance.  ``inputs_at`` follows
-    the :class:`~repro.solvers.base.BatchOdeProblem` time contract: a
-    scalar time fills each bound column with one interpolated value, an
-    ``(N,)`` per-row time vector interpolates each row at its own time.
+    fill the unbound columns, one row per instance.  Fixed-step solvers
+    read stage inputs from :meth:`input_table`; the adaptive solver calls
+    ``inputs_at`` once per stage, under the
+    :class:`~repro.solvers.base.BatchOdeProblem` time contract: a scalar
+    time fills each bound column with one interpolated value, an ``(N,)``
+    per-row time vector interpolates each row at its own time.
     """
 
     __slots__ = ("base", "series", "_buffer")
@@ -154,6 +191,14 @@ class _BatchKernelBindings:
         for slot, times, values in self.series:
             u[:, slot] = np.interp(t, times, values)
         return u
+
+    def input_table(self, times: Sequence[float]) -> _FleetInputTable:
+        """The stage input table of a fixed-step fleet solve."""
+        times = np.asarray(times, dtype=float)
+        values = np.empty((len(times), len(self.series)))
+        for k, (_, series_times, series_values) in enumerate(self.series):
+            values[:, k] = np.interp(times, series_times, series_values)
+        return _FleetInputTable(values, [slot for slot, _, _ in self.series], self._buffer)
 
     def restricted(self, rows: np.ndarray) -> "_BatchKernelBindings":
         """Bindings for a subset of the fleet's rows (active-set compaction).
@@ -358,11 +403,11 @@ class FmuModel:
             p = kernel.parameter_vector(parameter_values)
             n_states = kernel.n_states
             kernel_derivs = kernel._derivs
-            input_at = bindings.input_at
+            stage_inputs, input_table = bindings.input_at, bindings.input_table
 
-            def rhs(t, x, _u):
+            def rhs(t, x, u):
                 try:
-                    return kernel_derivs(t, x, input_at(t), p, np.empty(n_states))
+                    return kernel_derivs(t, x, u, p, np.empty(n_states))
                 except ZeroDivisionError:
                     raise kernel.division_error() from None
 
@@ -372,6 +417,9 @@ class FmuModel:
                 values = dict(self._input_starts)
                 values.update(interp(t))
                 return values
+
+            # The rhs resolves its own inputs; the solver passes an empty u.
+            stage_inputs = input_table = None
 
             def rhs(t, x, _u):
                 return system.derivatives(t, x, input_values_at(t), parameter_values)
@@ -383,14 +431,16 @@ class FmuModel:
             # installed - this wrapper does not exist).
             inner_rhs = rhs
 
-            def rhs(t, x, _u):  # noqa: F811 - deliberate chaos-mode shadow
+            def rhs(t, x, u):  # noqa: F811 - deliberate chaos-mode shadow
                 injector.check_point("kernel.eval")
-                return inner_rhs(t, x, _u)
+                return inner_rhs(t, x, u)
 
         x0 = np.array(
             [self._state_starts[name] for name in system.state_names], dtype=float
         )
-        problem = OdeProblem(rhs=rhs, x0=x0, t0=t0, t1=t1)
+        problem = OdeProblem(
+            rhs=rhs, x0=x0, t0=t0, t1=t1, inputs=stage_inputs, input_table=input_table
+        )
         options = dict(solver_options or {})
         solution = get_solver(solver, **options).solve(problem, output_times=grid)
 
@@ -563,7 +613,7 @@ class FmuModel:
         try:
             problem = BatchOdeProblem(
                 rhs=rhs, x0=x0, t0=t0, t1=t1, inputs=bindings.inputs_at,
-                restrict=restrict,
+                input_table=bindings.input_table, restrict=restrict,
             )
             options = dict(solver_options or {})
             solution = get_solver(solver, **options).solve_batch(

@@ -7,16 +7,21 @@ Two problem shapes are supported:
 * :class:`BatchOdeProblem` - a *fleet* of ``N`` instances stacked into an
   ``(N, d)`` state matrix sharing one integration window, solved by
   :meth:`OdeSolver.solve_batch`.  The right-hand side is evaluated once per
-  step for the whole fleet (one numpy-vectorized call instead of ``N``
+  stage for the whole fleet (one numpy-vectorized call instead of ``N``
   scalar ones); the concrete solvers override ``solve_batch`` with matrix
   stepping, and the base class provides a row-by-row fallback so any solver
   can integrate a batch problem.
+
+Inputs reach the right-hand side as its ``u`` argument.  The fixed-step
+solvers (euler, rk4) know their stage times in advance and fetch every
+stage input of a solve in one ``input_table`` call; the adaptive solver
+(rk45) calls ``inputs(t)`` once per stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +63,11 @@ InputFunction = Callable[[float], np.ndarray]
 BatchRhsFunction = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
 #: Batched input function ``U(t) -> (N, n_u)`` under the same time contract.
 BatchInputFunction = Callable[[object], np.ndarray]
+#: Stage input table of a fixed-step solve: ``table(times)`` returns a
+#: sequence whose item ``i`` is the input at ``times[i]`` - a ``u`` vector
+#: for an :class:`OdeProblem`, an ``(N, n_u)`` matrix for a
+#: :class:`BatchOdeProblem`.  Items are handed to ``rhs`` as they are.
+InputTable = Callable[[Sequence[float]], Sequence]
 #: Row-restriction factory: given the original row indices to keep, return
 #: ``(rhs, inputs)`` callables bound to just those rows (``inputs`` may be
 #: ``None``).  Lets adaptive batch solvers drop finished rows from the
@@ -80,6 +90,15 @@ class OdeProblem:
     inputs:
         Optional callable mapping time to the input vector ``u(t)``.  When
         omitted a zero-length input vector is passed to ``rhs``.
+    input_table:
+        Optional vectorized form of ``inputs`` (see :data:`InputTable`).
+        Fixed-step solvers know every stage time before their first step,
+        so they fetch all stage inputs in one ``input_table`` call per
+        solve; without the hook they build the table by calling
+        :meth:`input_at` once per distinct stage time.  A problem that
+        supplies the hook owns the format of ``u``: its table items, and
+        the values of its ``inputs`` on the adaptive solver's per-stage
+        path, reach ``rhs`` without coercion.
     """
 
     rhs: RhsFunction
@@ -87,6 +106,7 @@ class OdeProblem:
     t0: float
     t1: float
     inputs: Optional[InputFunction] = None
+    input_table: Optional[InputTable] = None
 
     def __post_init__(self):
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
@@ -98,10 +118,11 @@ class OdeProblem:
             )
 
     def input_at(self, t: float) -> np.ndarray:
-        """Evaluate the input vector at time ``t`` (empty vector if no inputs)."""
+        """The input vector at time ``t`` as a fresh float array (empty if no
+        inputs); a copy, so an ``inputs`` callable may reuse its buffer."""
         if self.inputs is None:
             return np.empty(0)
-        return np.atleast_1d(np.asarray(self.inputs(t), dtype=float))
+        return np.array(self.inputs(t), dtype=float, ndmin=1)
 
 
 @dataclass
@@ -125,7 +146,15 @@ class BatchOdeProblem:
     inputs:
         Optional callable mapping time (same scalar-or-vector contract as
         ``rhs``) to the ``(N, n_u)`` input matrix.  When omitted an empty
-        ``(N, 0)`` matrix is passed to ``rhs``.
+        ``(N, 0)`` matrix is passed to ``rhs``.  The adaptive solver calls
+        it once per stage.
+    input_table:
+        Optional stage input table (see :data:`InputTable`), fetched once
+        per fixed-step solve for the shared stage times; item ``i`` is the
+        ``(N, n_u)`` matrix at ``times[i]`` and is consumed before item
+        ``i + 1`` is read, so items may share one buffer.  Without the hook
+        fixed-step solvers call ``inputs`` once per distinct stage time and
+        keep a copy of each matrix.
     restrict:
         Optional row-restriction factory ``restrict(rows) -> (rhs, inputs)``
         returning the right-hand side and input function bound to the given
@@ -147,6 +176,7 @@ class BatchOdeProblem:
     t0: float
     t1: float
     inputs: Optional[BatchInputFunction] = None
+    input_table: Optional[InputTable] = None
     restrict: Optional[RestrictFunction] = None
 
     def __post_init__(self):
@@ -306,21 +336,15 @@ class BatchOdeSolution:
         )
 
 
-def _stage_function(problem: "OdeProblem"):
-    """The solver-facing right-hand side: inputs resolved, result coerced.
+def _rhs_function(problem: "OdeProblem"):
+    """The solver-facing right-hand side ``f(t, x, u)``, result coerced.
 
-    Hoists the per-step overheads out of the stage evaluation: input-less
-    problems share one empty input vector, and the float-vector coercion is
-    skipped when the rhs already returns a 1-D float array (the compiled
-    kernel path always does).
+    The float-vector coercion is skipped when the rhs already returns a 1-D
+    float array (the compiled kernel path always does).
     """
-    empty_u = np.empty(0)
-    has_inputs = problem.inputs is not None
     rhs = problem.rhs
-    input_at = problem.input_at
 
-    def f(t, x):
-        u = input_at(t) if has_inputs else empty_u
+    def f(t, x, u):
         dx = rhs(t, x, u)
         if isinstance(dx, np.ndarray) and dx.ndim == 1 and dx.dtype == np.float64:
             return dx
@@ -329,15 +353,79 @@ def _stage_function(problem: "OdeProblem"):
     return f
 
 
-def _batch_stage_function(problem: "BatchOdeProblem", rows: Optional[np.ndarray] = None):
-    """The solver-facing batched right-hand side with inputs resolved.
+def _stage_function(problem: "OdeProblem"):
+    """The adaptive solver's right-hand side ``f(t, x)``: stage times are
+    only known as the solve goes, so inputs are resolved once per stage.
 
-    Mirrors :func:`_stage_function` for the fleet case: input-less problems
-    share one empty ``(N, 0)`` matrix, and ``t`` passes through under the
-    scalar-or-vector contract of :class:`BatchOdeProblem`.  When ``rows`` is
-    given, the problem's :attr:`~BatchOdeProblem.restrict` hook binds the
-    right-hand side and inputs to just those fleet rows (active-set
-    compaction in the adaptive batch solvers).
+    Input-less problems share one empty input vector; a problem with an
+    ``input_table`` hook gets its ``inputs`` values uncoerced, like its
+    table items on the fixed-step path.
+    """
+    f = _rhs_function(problem)
+    if problem.inputs is None:
+        empty_u = np.empty(0)
+        return lambda t, x: f(t, x, empty_u)
+    input_at = problem.inputs if problem.input_table is not None else problem.input_at
+    return lambda t, x: f(t, x, input_at(t))
+
+
+#: Fixed-step solvers lay out their stage times, and fetch the stage inputs,
+#: for at most this many steps at a time.  Solves of usual length (hourly or
+#: half-hourly data over weeks) fit in one segment, so they make one input
+#: table call; a very long solve keeps its table small and reaches its first
+#: deadline check after one segment's set-up, not the whole solve's.
+_SEGMENT_STEPS = 2048
+
+
+def _fixed_step_segments(t0: float, t1: float, h: float):
+    """Yield ``(bounds, sizes)`` for consecutive segments of a fixed-step
+    solve of ``[t0, t1]``.
+
+    Step ``i`` of a segment runs from ``bounds[i]`` to ``bounds[i + 1]``
+    with size ``sizes[i]``; a segment starts where the previous one ended.
+    Built with the stepping loop's own float recurrence (``t = t + h_eff``,
+    the last step clipped to ``t1``), so every stage time derived from it is
+    bit-identical to the one a step-by-step loop would reach.
+    """
+    t = t0
+    while t < t1 - 1e-15:
+        bounds, sizes = [t], []
+        while t < t1 - 1e-15 and len(sizes) < _SEGMENT_STEPS:
+            h_eff = min(h, t1 - t)
+            sizes.append(h_eff)
+            t = t + h_eff
+            bounds.append(t)
+        yield bounds, sizes
+
+
+def _input_rows(problem: "OdeProblem", times: List[float]) -> Sequence:
+    """The stage inputs of a fixed-step segment, one item per ``times`` entry."""
+    if problem.input_table is not None:
+        return problem.input_table(times)
+    if problem.inputs is None:
+        return [np.empty(0)] * len(times)
+    return [problem.input_at(t) for t in times]
+
+
+def _batch_input_rows(problem: "BatchOdeProblem", times: List[float]) -> Sequence:
+    """The stage input matrices of a fixed-step fleet segment."""
+    if problem.input_table is not None:
+        return problem.input_table(times)
+    if problem.inputs is None:
+        return [np.empty((problem.n_rows, 0))] * len(times)
+    inputs = problem.inputs
+    return [np.array(inputs(t), dtype=float) for t in times]
+
+
+def _batch_stage_function(problem: "BatchOdeProblem", rows: Optional[np.ndarray] = None):
+    """The adaptive solver's batched right-hand side with inputs resolved
+    once per stage.
+
+    Input-less problems share one empty ``(N, 0)`` matrix, and ``t`` passes
+    through under the scalar-or-vector contract of
+    :class:`BatchOdeProblem`.  When ``rows`` is given, the problem's
+    :attr:`~BatchOdeProblem.restrict` hook binds the right-hand side and
+    inputs to just those fleet rows (active-set compaction).
     """
     if rows is None:
         rhs, inputs = problem.rhs, problem.inputs

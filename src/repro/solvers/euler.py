@@ -16,9 +16,11 @@ from repro.solvers.base import (
     OdeSolution,
     OdeSolver,
     TrajectoryRecorder,
-    _batch_stage_function,
+    _batch_input_rows,
     _check_step,
-    _stage_function,
+    _fixed_step_segments,
+    _input_rows,
+    _rhs_function,
     _step_guard,
     _CHECK_INTERVAL,
 )
@@ -59,40 +61,38 @@ class EulerSolver(OdeSolver):
             len(problem.x0), int((problem.t1 - problem.t0) / h) + 4
         )
         recorder.append(problem.t0, problem.x0)
-        t = problem.t0
         x = problem.x0.copy()
-        n_evals = 0
         n_steps = 0
-        f = _stage_function(problem)
-        t1 = problem.t1
+        f = _rhs_function(problem)
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
         with np.errstate(over="ignore", invalid="ignore"):
-            while t < t1 - 1e-15:
-                if watch:
-                    checks_left -= 1
-                    if checks_left == 0:
-                        checks_left = _CHECK_INTERVAL
-                        _check_step(token, injector)
-                h_eff = min(h, t1 - t)
-                dx = f(t, x)
-                n_evals += 1
-                x = x + h_eff * dx
-                t = t + h_eff
-                n_steps += 1
-                # Cheap scalar pre-check (the sum is non-finite whenever any
-                # component is; opposite-sign infinities collapse to nan);
-                # the exact per-component check runs only when it trips, so
-                # a finite sum that merely overflows is not misreported.
-                if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
-                    raise SolverError(f"Euler integration diverged at t={t}")
-                recorder.append(t, x)
+            for bounds, sizes in _fixed_step_segments(problem.t0, problem.t1, h):
+                U = _input_rows(problem, bounds[:-1])
+                for i, h_eff in enumerate(sizes):
+                    if watch:
+                        checks_left -= 1
+                        if checks_left == 0:
+                            checks_left = _CHECK_INTERVAL
+                            _check_step(token, injector)
+                    dx = f(bounds[i], x, U[i])
+                    x = x + h_eff * dx
+                    t = bounds[i + 1]
+                    # Cheap scalar pre-check (the sum is non-finite whenever
+                    # any component is; opposite-sign infinities collapse to
+                    # nan); the exact per-component check runs only when it
+                    # trips, so a finite sum that merely overflows is not
+                    # misreported.
+                    if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
+                        raise SolverError(f"Euler integration diverged at t={t}")
+                    recorder.append(t, x)
+                n_steps += len(sizes)
 
         times, states = recorder.arrays()
         dense = OdeSolution(
             times=times,
             states=states,
-            n_rhs_evals=n_evals,
+            n_rhs_evals=n_steps,
             n_steps=n_steps,
             solver_name=self.name,
         )
@@ -100,7 +100,7 @@ class EulerSolver(OdeSolver):
         return OdeSolution(
             times=grid,
             states=sampled,
-            n_rhs_evals=n_evals,
+            n_rhs_evals=n_steps,
             n_steps=n_steps,
             solver_name=self.name,
         )
@@ -124,42 +124,39 @@ class EulerSolver(OdeSolver):
             problem.n_rows, problem.n_states, int((problem.t1 - problem.t0) / h) + 4
         )
         recorder.append_all(problem.t0, problem.x0)
-        t = problem.t0
         X = problem.x0.copy()
-        n_evals = 0
         n_steps = 0
-        f = _batch_stage_function(problem)
-        t1 = problem.t1
+        f = problem.rhs
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
         with np.errstate(over="ignore", invalid="ignore"):
-            while t < t1 - 1e-15:
-                if watch:
-                    checks_left -= 1
-                    if checks_left == 0:
-                        checks_left = _CHECK_INTERVAL
-                        _check_step(token, injector)
-                h_eff = min(h, t1 - t)
-                dX = f(t, X)
-                n_evals += 1
-                X = X + h_eff * dX
-                t = t + h_eff
-                n_steps += 1
-                # Scalar pre-check + exact fallback over the whole fleet;
-                # callers fall back to per-row integration to pinpoint the
-                # diverging instance.
-                if not math.isfinite(float(X.sum())) and not np.isfinite(X).all():
-                    bad = np.where(~np.isfinite(X).all(axis=1))[0]
-                    raise SolverError(
-                        f"Euler integration diverged at t={t} (rows {bad.tolist()})"
-                    )
-                recorder.append_all(t, X)
+            for bounds, sizes in _fixed_step_segments(problem.t0, problem.t1, h):
+                U = _batch_input_rows(problem, bounds[:-1])
+                for i, h_eff in enumerate(sizes):
+                    if watch:
+                        checks_left -= 1
+                        if checks_left == 0:
+                            checks_left = _CHECK_INTERVAL
+                            _check_step(token, injector)
+                    dX = f(bounds[i], X, U[i])
+                    X = X + h_eff * dX
+                    t = bounds[i + 1]
+                    # Scalar pre-check + exact fallback over the whole fleet;
+                    # callers fall back to per-row integration to pinpoint
+                    # the diverging instance.
+                    if not math.isfinite(float(X.sum())) and not np.isfinite(X).all():
+                        bad = np.where(~np.isfinite(X).all(axis=1))[0]
+                        raise SolverError(
+                            f"Euler integration diverged at t={t} (rows {bad.tolist()})"
+                        )
+                    recorder.append_all(t, X)
+                n_steps += len(sizes)
 
         steps_per_row = np.full(problem.n_rows, n_steps, dtype=int)
         return BatchOdeSolution(
             times=grid,
             states=recorder.sample(grid),
-            n_rhs_evals=n_evals,
+            n_rhs_evals=n_steps,
             n_steps=steps_per_row,
             solver_name=self.name,
         )

@@ -16,12 +16,27 @@ from repro.solvers.base import (
     OdeSolution,
     OdeSolver,
     TrajectoryRecorder,
-    _batch_stage_function,
+    _batch_input_rows,
     _check_step,
-    _stage_function,
+    _fixed_step_segments,
+    _input_rows,
+    _rhs_function,
     _step_guard,
     _CHECK_INTERVAL,
 )
+
+
+def _stage_times(bounds, sizes):
+    """The 2n+1 distinct stage times of an n-step segment.
+
+    Step ``i`` evaluates at ``times[2i]`` (k1), ``times[2i + 1]`` (k2 and
+    k3 share ``t + h_eff / 2.0``) and ``times[2i + 2]`` (k4's ``t + h_eff``,
+    which is also the next step's ``t``).
+    """
+    times = [bounds[-1]] * (2 * len(sizes) + 1)
+    times[0::2] = bounds
+    times[1::2] = [t + h_eff / 2.0 for t, h_eff in zip(bounds, sizes)]
+    return times
 
 
 class RungeKutta4Solver(OdeSolver):
@@ -59,35 +74,36 @@ class RungeKutta4Solver(OdeSolver):
             len(problem.x0), int((problem.t1 - problem.t0) / h) + 4
         )
         recorder.append(problem.t0, problem.x0)
-        t = problem.t0
         x = problem.x0.copy()
-        n_evals = 0
         n_steps = 0
-
-        f = _stage_function(problem)
-        t1 = problem.t1
+        f = _rhs_function(problem)
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
         with np.errstate(over="ignore", invalid="ignore"):
-            while t < t1 - 1e-15:
-                if watch:
-                    checks_left -= 1
-                    if checks_left == 0:
-                        checks_left = _CHECK_INTERVAL
-                        _check_step(token, injector)
-                h_eff = min(h, t1 - t)
-                k1 = f(t, x)
-                k2 = f(t + h_eff / 2.0, x + h_eff / 2.0 * k1)
-                k3 = f(t + h_eff / 2.0, x + h_eff / 2.0 * k2)
-                k4 = f(t + h_eff, x + h_eff * k3)
-                n_evals += 4
-                x = x + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = t + h_eff
-                n_steps += 1
-                # Scalar pre-check + exact fallback, see EulerSolver.
-                if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
-                    raise SolverError(f"RK4 integration diverged at t={t}")
-                recorder.append(t, x)
+            for bounds, sizes in _fixed_step_segments(problem.t0, problem.t1, h):
+                times = _stage_times(bounds, sizes)
+                U = _input_rows(problem, times)
+                for i, h_eff in enumerate(sizes):
+                    if watch:
+                        checks_left -= 1
+                        if checks_left == 0:
+                            checks_left = _CHECK_INTERVAL
+                            _check_step(token, injector)
+                    j = 2 * i
+                    t_mid = times[j + 1]
+                    t = times[j + 2]
+                    k1 = f(times[j], x, U[j])
+                    u_mid = U[j + 1]
+                    k2 = f(t_mid, x + h_eff / 2.0 * k1, u_mid)
+                    k3 = f(t_mid, x + h_eff / 2.0 * k2, u_mid)
+                    k4 = f(t, x + h_eff * k3, U[j + 2])
+                    x = x + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    # Scalar pre-check + exact fallback, see EulerSolver.
+                    if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
+                        raise SolverError(f"RK4 integration diverged at t={t}")
+                    recorder.append(t, x)
+                n_steps += len(sizes)
+        n_evals = 4 * n_steps
 
         times, states = recorder.arrays()
         dense = OdeSolution(
@@ -124,38 +140,39 @@ class RungeKutta4Solver(OdeSolver):
             problem.n_rows, problem.n_states, int((problem.t1 - problem.t0) / h) + 4
         )
         recorder.append_all(problem.t0, problem.x0)
-        t = problem.t0
         X = problem.x0.copy()
-        n_evals = 0
         n_steps = 0
-
-        f = _batch_stage_function(problem)
-        t1 = problem.t1
+        f = problem.rhs
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
         with np.errstate(over="ignore", invalid="ignore"):
-            while t < t1 - 1e-15:
-                if watch:
-                    checks_left -= 1
-                    if checks_left == 0:
-                        checks_left = _CHECK_INTERVAL
-                        _check_step(token, injector)
-                h_eff = min(h, t1 - t)
-                k1 = f(t, X)
-                k2 = f(t + h_eff / 2.0, X + h_eff / 2.0 * k1)
-                k3 = f(t + h_eff / 2.0, X + h_eff / 2.0 * k2)
-                k4 = f(t + h_eff, X + h_eff * k3)
-                n_evals += 4
-                X = X + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = t + h_eff
-                n_steps += 1
-                # Scalar pre-check + exact fallback, see EulerSolver.solve_batch.
-                if not math.isfinite(float(X.sum())) and not np.isfinite(X).all():
-                    bad = np.where(~np.isfinite(X).all(axis=1))[0]
-                    raise SolverError(
-                        f"RK4 integration diverged at t={t} (rows {bad.tolist()})"
-                    )
-                recorder.append_all(t, X)
+            for bounds, sizes in _fixed_step_segments(problem.t0, problem.t1, h):
+                times = _stage_times(bounds, sizes)
+                U = _batch_input_rows(problem, times)
+                for i, h_eff in enumerate(sizes):
+                    if watch:
+                        checks_left -= 1
+                        if checks_left == 0:
+                            checks_left = _CHECK_INTERVAL
+                            _check_step(token, injector)
+                    j = 2 * i
+                    t_mid = times[j + 1]
+                    t = times[j + 2]
+                    k1 = f(times[j], X, U[j])
+                    u_mid = U[j + 1]
+                    k2 = f(t_mid, X + h_eff / 2.0 * k1, u_mid)
+                    k3 = f(t_mid, X + h_eff / 2.0 * k2, u_mid)
+                    k4 = f(t, X + h_eff * k3, U[j + 2])
+                    X = X + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    # Scalar pre-check + exact fallback, see EulerSolver.solve_batch.
+                    if not math.isfinite(float(X.sum())) and not np.isfinite(X).all():
+                        bad = np.where(~np.isfinite(X).all(axis=1))[0]
+                        raise SolverError(
+                            f"RK4 integration diverged at t={t} (rows {bad.tolist()})"
+                        )
+                    recorder.append_all(t, X)
+                n_steps += len(sizes)
+        n_evals = 4 * n_steps
 
         steps_per_row = np.full(problem.n_rows, n_steps, dtype=int)
         return BatchOdeSolution(

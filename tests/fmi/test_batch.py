@@ -16,8 +16,11 @@ import random
 import numpy as np
 import pytest
 
-from repro.errors import FmuStateError, SimulationInputError, SolverError
-from repro.fmi.model import FmuModel
+from repro import cancellation, faults
+from repro.cancellation import CancelToken
+from repro.errors import FmuStateError, SimulationInputError, SolverError, TimeoutError
+from repro.fmi.model import FmuModel, _BatchKernelBindings, _InputInterpolator
+from repro.models.classroom import build_classroom_archive
 from repro.solvers import get_solver
 from repro.solvers.base import (
     BatchOdeProblem,
@@ -484,6 +487,99 @@ class TestSimulateBatchApi:
             assert result.solver_stats["batched"] is True
             assert result.solver_stats["fleet_size"] == 3
             assert result.solver_stats["n_steps"] > 0
+
+
+class _CountingInjector(faults.FaultInjector):
+    """Counts fault-point hits and never fires."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = {}
+
+    def check_point(self, label):
+        self.hits[label] = self.hits.get(label, 0) + 1
+
+
+def _hp1_week_inputs():
+    hours = np.arange(0.0, 169.0)
+    return {"u": (hours, 0.5 + 0.4 * np.sin(hours / 5.0))}
+
+
+class TestStageInputTable:
+    """Fixed-step FMU solves read their inputs from one stage table."""
+
+    @pytest.mark.parametrize("solver", ["rk4", "euler"])
+    def test_kernel_eval_fault_point_fires_once_per_rhs_evaluation(self, hp1_archive, solver):
+        window = dict(
+            inputs=_hp1_week_inputs(), start_time=0.0, stop_time=168.0,
+            solver=solver, solver_options={"step": 0.5},
+        )
+        model = FmuModel(hp1_archive)
+        injector = _CountingInjector()
+        with faults.activate(injector):
+            scalar = model.simulate(**window)
+        stats = scalar.solver_stats
+        per_step = 4 if solver == "rk4" else 1
+        assert stats["n_rhs_evals"] == per_step * stats["n_steps"] == per_step * 336
+        assert injector.hits["kernel.eval"] == stats["n_rhs_evals"]
+
+        injector = _CountingInjector()
+        with faults.activate(injector):
+            batch = FmuModel.simulate_batch([model, model.clone()], **window)
+        assert batch[0].solver_stats["batched"] is True
+        assert injector.hits["kernel.eval"] == batch[0].solver_stats["n_rhs_evals"]
+        assert injector.hits["kernel.eval"] == per_step * 336
+
+    def test_deadline_cancels_a_long_rk4_solve_mid_flight(self, hp1_archive):
+        # 168 h at a 1 ms step is 168k steps (several seconds); the deadline
+        # must land inside the stepping loop, not before it or after it.
+        model = FmuModel(hp1_archive)
+        injector = _CountingInjector()
+        with faults.activate(injector), cancellation.activate(CancelToken(timeout=0.2)):
+            with pytest.raises(TimeoutError):
+                model.simulate(
+                    inputs=_hp1_week_inputs(), start_time=0.0, stop_time=168.0,
+                    solver="rk4", solver_options={"step": 0.001},
+                )
+        assert 0 < injector.hits.get("kernel.eval", 0) < 4 * 168_000
+
+    def test_fleet_table_size_does_not_grow_with_fleet_size(self, hp1_archive, monkeypatch):
+        shapes = []
+        build = _BatchKernelBindings.input_table
+
+        def spy(self, times):
+            table = build(self, times)
+            shapes.append(table.values.shape)
+            return table
+
+        monkeypatch.setattr(_BatchKernelBindings, "input_table", spy)
+        model = FmuModel(hp1_archive)
+        for n_rows in (2, 16):
+            FmuModel.simulate_batch(
+                [model.clone() for _ in range(n_rows)], inputs=_hp1_week_inputs(),
+                start_time=0.0, stop_time=168.0, solver="rk4", solver_options={"step": 1.0},
+            )
+        # One bound series, 2n+1 stage times, whatever the fleet size.
+        assert shapes == [(337, 1), (337, 1)]
+
+    @pytest.mark.parametrize("measured", [["tout", "occ", "dpos"], ["solrad", "occ"]])
+    def test_fleet_table_rows_equal_per_stage_interpolation(self, measured):
+        # Contiguous and non-contiguous bound columns; the unbound ones keep
+        # each row's own start value.
+        archive = build_classroom_archive()
+        kernel = archive.ode_system.kernel
+        hours = np.linspace(0.0, 10.0, 21)
+        interp = _InputInterpolator(
+            {name: (hours, np.cos(hours + k)) for k, name in enumerate(measured)}
+        )
+        starts = [{name: float(row + k) for k, name in enumerate(kernel.input_names)}
+                  for row in range(3)]
+        table = _BatchKernelBindings(kernel, interp, starts).input_table(
+            [-1.0, 0.0, 0.25, 3.3, 9.99, 12.0]
+        )
+        oracle = _BatchKernelBindings(kernel, interp, starts)
+        for i, t in enumerate([-1.0, 0.0, 0.25, 3.3, 9.99, 12.0]):
+            np.testing.assert_array_equal(table[i], oracle.inputs_at(t))
 
 
 # --------------------------------------------------------------------------- #

@@ -17,7 +17,7 @@ from repro.solvers import (
     get_solver,
     solve_ode,
 )
-from repro.solvers.base import OdeProblem, OdeSolution
+from repro.solvers.base import BatchOdeProblem, OdeProblem, OdeSolution
 
 
 def exponential_decay(t, x, u):
@@ -124,6 +124,117 @@ class TestAccuracy:
         assert solution.n_rhs_evals > 0
         assert solution.n_steps > 0
         assert solution.solver_name == "rk45"
+
+
+def _forcing(t):
+    return [math.sin(3.0 * t)]
+
+
+def _reference_fixed_step(solver, rhs, inputs, x0, t0, t1, h):
+    """Textbook rk4/euler loop that evaluates the inputs at every stage."""
+
+    def f(t, x):
+        return rhs(t, x, np.atleast_1d(np.asarray(inputs(t), dtype=float)))
+
+    t, x = t0, np.array(x0, dtype=float)
+    while t < t1 - 1e-15:
+        h_eff = min(h, t1 - t)
+        if solver == "euler":
+            x = x + h_eff * f(t, x)
+        else:
+            k1 = f(t, x)
+            k2 = f(t + h_eff / 2.0, x + h_eff / 2.0 * k1)
+            k3 = f(t + h_eff / 2.0, x + h_eff / 2.0 * k2)
+            k4 = f(t + h_eff, x + h_eff * k3)
+            x = x + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t + h_eff
+    return x
+
+
+class TestStageInputTable:
+    """Fixed-step solvers fetch every stage input of a solve up front."""
+
+    @staticmethod
+    def _distinct_stage_times(solver, n_steps):
+        return 2 * n_steps + 1 if solver == "rk4" else n_steps
+
+    @pytest.mark.parametrize("solver", ["rk4", "euler"])
+    def test_input_table_is_called_once_per_solve(self, solver):
+        calls = []
+
+        def table(times):
+            calls.append(list(times))
+            return [np.array(_forcing(t)) for t in times]
+
+        problem = OdeProblem(
+            rhs=forced_first_order, x0=[0.0], t0=0.0, t1=2.0, inputs=_forcing,
+            input_table=table,
+        )
+        solution = get_solver(solver, step=0.07).solve(problem)
+        assert len(calls) == 1
+        times = calls[0]
+        assert len(times) == self._distinct_stage_times(solver, solution.n_steps)
+        assert times == sorted(set(times))
+        assert times[0] == 0.0
+
+    @pytest.mark.parametrize("solver", ["rk4", "euler"])
+    def test_batch_input_table_is_called_once_per_solve(self, solver):
+        calls = []
+
+        def table(times):
+            calls.append(list(times))
+            return [np.full((3, 1), _forcing(t)[0]) for t in times]
+
+        problem = BatchOdeProblem(
+            rhs=lambda t, X, U: -0.5 * X + U, x0=np.ones((3, 1)), t0=0.0, t1=2.0,
+            input_table=table,
+        )
+        solution = get_solver(solver, step=0.07).solve_batch(problem)
+        assert len(calls) == 1
+        assert len(calls[0]) == self._distinct_stage_times(solver, int(solution.n_steps[0]))
+
+    @pytest.mark.parametrize("solver", ["rk4", "euler"])
+    def test_plain_inputs_are_called_once_per_distinct_stage_time(self, solver):
+        seen = []
+
+        def inputs(t):
+            seen.append(t)
+            return _forcing(t)
+
+        problem = OdeProblem(rhs=forced_first_order, x0=[0.3], t0=0.0, t1=2.0, inputs=inputs)
+        solution = get_solver(solver, step=0.07).solve(problem)
+        assert len(seen) == len(set(seen))
+        assert len(seen) == self._distinct_stage_times(solver, solution.n_steps)
+        # The trajectory is the per-stage-evaluation one, bit for bit.
+        expected = _reference_fixed_step(
+            solver, forced_first_order, _forcing, [0.3], 0.0, 2.0, 0.07
+        )
+        np.testing.assert_array_equal(solution.final_state, expected)
+
+    @pytest.mark.parametrize("solver", ["rk4", "euler"])
+    def test_long_solve_fetches_inputs_per_segment(self, solver):
+        # A very long solve is laid out in bounded segments, so its table
+        # stays small and a deadline check comes after one segment's set-up.
+        from repro.solvers.base import _SEGMENT_STEPS
+
+        lengths = []
+
+        def table(times):
+            lengths.append(len(times))
+            return np.ones((len(times), 1))
+
+        n_steps = 2 * _SEGMENT_STEPS + 5
+        problem = OdeProblem(
+            rhs=forced_first_order, x0=[0.0], t0=0.0, t1=float(n_steps), inputs=_forcing,
+            input_table=table,
+        )
+        solution = get_solver(solver, step=1.0).solve(problem)
+        assert solution.n_steps == n_steps
+        assert len(lengths) == 3
+        assert max(lengths) <= 2 * _SEGMENT_STEPS + 1
+        assert sum(lengths) == (
+            2 * n_steps + 3 if solver == "rk4" else n_steps
+        )
 
 
 class TestStepValidation:

@@ -383,6 +383,45 @@ class TestInNullSemantics:
         assert self._both(setup, query) == (expected, expected)
 
 
+class TestArithmeticDeviation:
+    """Arithmetic is float arithmetic, a documented deviation from
+    PostgreSQL (docs/sql_reference.md, "Arithmetic").  Stdlib ``sqlite3``
+    gives PostgreSQL's integer answers here, so each case records both."""
+
+    @pytest.mark.parametrize(
+        "expression, ours, postgres",
+        [
+            ("7 / 2", 3.5, 3),
+            ("-7 / 2", -3.5, -3),
+            ("3 + 4", 7.0, 7),
+            ("2 - 5", -3.0, -3),
+            ("7 * 2", 14.0, 14),
+            ("7 % 2", 1.0, 1),
+            ("-7 % 2", 1.0, -1),
+        ],
+    )
+    def test_integer_operands_give_floats(self, expression, ours, postgres):
+        db, oracle = Database(), sqlite3.connect(":memory:")
+        value = db.execute(f"SELECT {expression}").rows[0][0]
+        theirs = oracle.execute(f"SELECT {expression}").fetchone()[0]
+        oracle.close()
+        assert type(value) is float and value == ours
+        assert type(theirs) is int and theirs == postgres
+
+    def test_integer_columns_and_aggregates(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a integer, b integer)")
+        db.execute("INSERT INTO t VALUES (7, 2)")
+        row = db.execute("SELECT a, a / b, a + b, count(*), sum(a) FROM t").rows[0]
+        assert [type(v) for v in row] == [int, float, float, int, float]
+        assert row == [7, 3.5, 9.0, 1, 7.0]
+
+    def test_division_by_zero_raises(self):
+        for expression in ("1 / 0", "1 % 0"):
+            with pytest.raises(SqlExecutionError, match="division by zero"):
+                Database().execute(f"SELECT {expression}")
+
+
 class TestDmlAndDdl:
     def test_insert_select(self, people_db):
         people_db.execute("CREATE TABLE seniors (id integer, name text)")
