@@ -1,14 +1,15 @@
-"""Golden trajectories: fixed-step solves must stay bit-identical.
+"""Golden trajectories: solves must stay bit-identical.
 
-``tests/data/golden_trajectories.npz`` holds rk4 and euler trajectories of
-HP0, HP1 and Classroom over 168 h of ``generate_dataset_for(..., seed=1)``
-inputs - one scalar :meth:`FmuModel.simulate` of the nominal model and one
-batched :meth:`FmuModel.simulate_batch` of a four-member parameter
-population - plus a plain :class:`OdeProblem` / :class:`BatchOdeProblem`
-with a callable input.  Every trajectory, ``n_steps`` and ``n_rhs_evals``
-must equal the recorded values exactly (``np.array_equal``, not a
-tolerance): a change to how stage times or inputs are computed that moves
-one bit fails here.
+``tests/data/golden_trajectories.npz`` holds rk4, euler and rk45
+trajectories of HP0, HP1 and Classroom over 168 h of
+``generate_dataset_for(..., seed=1)`` inputs - one scalar
+:meth:`FmuModel.simulate` of the nominal model and one batched
+:meth:`FmuModel.simulate_batch` of a four-member parameter population - plus
+a plain :class:`OdeProblem` / :class:`BatchOdeProblem` with a callable input
+for the fixed-step solvers.  Every trajectory, ``n_steps``, ``n_rejected``
+(model cases) and ``n_rhs_evals`` must equal the recorded values exactly
+(``np.array_equal``, not a tolerance): a change to how stage times, inputs
+or adaptive step sizes are computed that moves one bit fails here.
 
 The fixture is an oracle, so it is regenerated only when a trajectory
 change is intended::
@@ -36,16 +37,21 @@ FIXTURE = Path(__file__).resolve().parents[1] / "data" / "golden_trajectories.np
 
 MODELS = ("HP0", "HP1", "Classroom")
 FIXED_STEP_SOLVERS = ("rk4", "euler")
+#: rk45 runs with its default tolerances, so its step sequence, rejections
+#: and dense output are pinned as well.
+SOLVERS = FIXED_STEP_SOLVERS + ("rk45",)
 #: Per-member multipliers of the estimated parameters in the batched
 #: population (row 1 is the nominal model).
 POPULATION_SCALES = (0.8, 1.0, 1.25, 1.5)
 
 
-def _step(solver: str, sample_step: float) -> float:
+def _options(solver: str, sample_step: float) -> dict:
     # rk4 steps on the sample grid like calibration does, so its midpoint
     # stages fall between samples; euler takes 0.7 of it, so its stage
     # times fall off the grid and the last step is a short one.
-    return sample_step if solver == "rk4" else 0.7 * sample_step
+    if solver == "rk45":
+        return {}
+    return {"step": sample_step if solver == "rk4" else 0.7 * sample_step}
 
 
 def _model_cases(name: str) -> Dict[str, np.ndarray]:
@@ -62,19 +68,19 @@ def _model_cases(name: str) -> Dict[str, np.ndarray]:
         population.append(member)
 
     arrays: Dict[str, np.ndarray] = {}
-    for solver in FIXED_STEP_SOLVERS:
-        options = {"step": _step(solver, sample_step)}
+    for solver in SOLVERS:
         common = dict(
             inputs=inputs or None,
             output_times=dataset.time,
             solver=solver,
-            solver_options=options,
+            solver_options=_options(solver, sample_step),
         )
         scalar = nominal.simulate(**common)
         prefix = f"{name}/{solver}/scalar"
         for var, values in scalar.trajectories.items():
             arrays[f"{prefix}/{var}"] = values
         arrays[f"{prefix}/#n_steps"] = np.array(scalar.solver_stats["n_steps"])
+        arrays[f"{prefix}/#n_rejected"] = np.array(scalar.solver_stats["n_rejected"])
         arrays[f"{prefix}/#n_rhs_evals"] = np.array(scalar.solver_stats["n_rhs_evals"])
 
         batch = FmuModel.simulate_batch(population, **common)
@@ -83,6 +89,7 @@ def _model_cases(name: str) -> Dict[str, np.ndarray]:
         for var in batch[0].trajectories:
             arrays[f"{prefix}/{var}"] = np.stack([r.trajectories[var] for r in batch])
         arrays[f"{prefix}/#n_steps"] = np.array([r.solver_stats["n_steps"] for r in batch])
+        arrays[f"{prefix}/#n_rejected"] = np.array([r.solver_stats["n_rejected"] for r in batch])
         arrays[f"{prefix}/#n_rhs_evals"] = np.array(batch[0].solver_stats["n_rhs_evals"])
     return arrays
 
@@ -155,8 +162,12 @@ def current():
     return golden_cases()
 
 
-@pytest.mark.parametrize("case", MODELS + ("plain",))
-@pytest.mark.parametrize("solver", FIXED_STEP_SOLVERS)
+CASES = [(name, solver) for name in MODELS for solver in SOLVERS] + [
+    ("plain", solver) for solver in FIXED_STEP_SOLVERS
+]
+
+
+@pytest.mark.parametrize("case,solver", CASES)
 @pytest.mark.parametrize("shape", ("scalar", "batch"))
 def test_trajectories_match_golden(recorded, current, case, solver, shape):
     prefix = f"{case}/{solver}/{shape}/"
