@@ -3,7 +3,8 @@
 ``Session.simulate_many`` stacks a same-model fleet's states into an
 ``(N, d)`` matrix and integrates all instances through one numpy-vectorized
 right-hand side (:meth:`repro.fmi.model.FmuModel.simulate_batch`); the
-pre-batching path integrated them one compiled-kernel solve at a time.
+sequential path - what a fleet of a non-batchable model gets - shares the
+one input pass and integrates them one compiled-kernel solve at a time.
 This benchmark times both paths on a 32-instance fleet of the five-zone
 heat pump model under the default adaptive RK45 solver (the
 ``fmu_simulate`` instance-array shape), after asserting the two paths'
@@ -81,34 +82,33 @@ def _assert_equivalent(batched: dict, sequential: dict, atol: float = 1e-9) -> f
 def measure_fleet(hours: float = 100.0, rounds: int = 3) -> dict:
     session, ids = _build_fleet_session(hours)
     query = "SELECT * FROM m"
+    simulator = session.simulator
 
-    def run():
-        return session.simulate_many(ids, query)
+    def run_batched():
+        return simulator.simulate_many(ids, query)
 
-    session.simulator.batch_enabled = True
-    batched_results = run()
-    session.simulator.batch_enabled = False
-    sequential_results = run()
-    worst = _assert_equivalent(batched_results, sequential_results)
+    def run_sequential():
+        # One shared input pass, then one per-instance solve per id.
+        prepared = simulator.prepare_inputs(query)
+        return {i: simulator._simulate_prepared(i, prepared, None, None) for i in ids}
+
+    worst = _assert_equivalent(run_batched(), run_sequential())
 
     # Symmetric, interleaved best-of-N timing (see bench_simulation_kernels):
     # alternating the two paths keeps CPU frequency drift off the ratio.
     batched_s = sequential_s = float("inf")
     for _ in range(rounds):
-        session.simulator.batch_enabled = True
         started = time.perf_counter()
-        run()
+        run_batched()
         batched_s = min(batched_s, time.perf_counter() - started)
-        session.simulator.batch_enabled = False
         started = time.perf_counter()
-        run()
+        run_sequential()
         sequential_s = min(sequential_s, time.perf_counter() - started)
-    session.simulator.batch_enabled = True
     return {
         "benchmark": "fleet_simulation",
         "n_instances": N_INSTANCES,
         "hours": hours,
-        "solver": session.simulator.solver,
+        "solver": simulator.solver,
         "max_abs_diff": worst,
         "sequential_s": round(sequential_s, 6),
         "batched_s": round(batched_s, 6),

@@ -4,9 +4,10 @@ A fleet of 32 houses shares one heat pump model; each house has its own
 parameter values.  ``Session.simulate_many`` stacks the whole fleet's
 states into an ``(N, d)`` matrix and integrates them through one
 numpy-vectorized right-hand side, instead of running N sequential solver
-loops - this script times both paths, shows the identical trajectories,
-drives the same batch through the ``fmu_simulate`` array-literal SQL form,
-and finishes by calibrating part of the fleet.
+loops - this script times it against N per-instance ``Session.simulate``
+calls, shows the identical trajectories, drives the same batch through the
+``fmu_simulate`` array-literal SQL form, and finishes by calibrating part
+of the fleet.
 
 Run with:  python examples/fleet_simulation.py
 """
@@ -49,28 +50,25 @@ def main() -> None:
         fleet.append(house)
 
     # ---------------------------------------------------------------- #
-    # Object layer: batched vs. sequential timings
+    # Object layer: batched fleet vs. per-instance simulate calls
     # ---------------------------------------------------------------- #
     query = "SELECT * FROM measurements"
 
-    session.simulator.batch_enabled = True
     started = time.perf_counter()
     batched = session.simulate_many(fleet, query)
     batched_s = time.perf_counter() - started
 
-    session.simulator.batch_enabled = False
     started = time.perf_counter()
-    sequential = session.simulate_many(fleet, query)
+    sequential = {str(house): session.simulate(house, query) for house in fleet}
     sequential_s = time.perf_counter() - started
-    session.simulator.batch_enabled = True
 
     worst = max(
         float(np.max(np.abs(batched[house]["x"] - sequential[house]["x"])))
         for house in batched
     )
     print(f"simulate_many over {FLEET_SIZE} houses:")
-    print(f"  sequential per-instance path: {sequential_s * 1000:7.1f} ms")
-    print(f"  batched (N, d) fleet path:    {batched_s * 1000:7.1f} ms")
+    print(f"  {FLEET_SIZE} Session.simulate calls: {sequential_s * 1000:7.1f} ms")
+    print(f"  batched (N, d) fleet path:   {batched_s * 1000:7.1f} ms")
     print(f"  speedup: {sequential_s / batched_s:.1f}x, "
           f"max |batched - sequential| = {worst:.2e}")
 
@@ -104,24 +102,11 @@ def main() -> None:
         "SELECT fmu_parest($1, $2, '{Cp, R}')",
         [format_array_literal(to_calibrate), format_array_literal([query])],
     ).result.scalar()
-    batched_cal_s = time.perf_counter() - started
-    print(f"\ncalibrated {len(to_calibrate)} houses in {batched_cal_s:.1f} s "
+    calibration_s = time.perf_counter() - started
+    print(f"\ncalibrated {len(to_calibrate)} houses in {calibration_s:.1f} s "
           f"(population-batched), errors: {errors}")
     for house in to_calibrate:
         print(f"  {house}: {house.parameters}")
-
-    # The escape hatch ('false' as fmu_parest's fifth argument) runs the
-    # sequential per-candidate loop - same estimates, one solve per
-    # candidate instead of one per generation.
-    started = time.perf_counter()
-    sequential_errors = conn.execute(
-        "SELECT fmu_parest($1, $2, '{Cp, R}', NULL, 'false')",
-        [format_array_literal(to_calibrate), format_array_literal([query])],
-    ).result.scalar()
-    sequential_cal_s = time.perf_counter() - started
-    print(f"sequential estimation path: {sequential_cal_s:.1f} s "
-          f"({sequential_cal_s / batched_cal_s:.1f}x slower), "
-          f"identical errors: {sequential_errors == errors}")
 
 
 if __name__ == "__main__":

@@ -54,6 +54,13 @@ class EstimationResult:
 class Estimation:
     """Parameter estimation for one FMU model instance.
 
+    Whole GA generations and local-search gradient stencils are scored as
+    one batched ``(pop, d)`` fleet solve
+    (:meth:`SimulationObjective.evaluate_population`) whenever the model
+    can batch.  Non-batchable models (interpreted path, non-vectorizable
+    kernels) sequentialize automatically to one simulation per candidate;
+    results are identical either way for a fixed seed.
+
     Parameters
     ----------
     model:
@@ -72,14 +79,6 @@ class Estimation:
         ...).  Benchmarks use these to scale the experiment budget.
     seed:
         Seed for the GA stage.
-    batch_enabled:
-        Score whole GA generations and local-search gradient stencils as
-        one batched ``(pop, d)`` fleet solve
-        (:meth:`SimulationObjective.evaluate_population`) instead of one
-        simulation per candidate.  Results are identical either way for a
-        fixed seed; ``False`` forces the sequential per-candidate loop.
-        Non-batchable models (interpreted path, non-vectorizable kernels)
-        fall back to it automatically.
     retry_policy:
         Optional :class:`~repro.solvers.retry.RetryPolicy` forwarded to the
         objective: diverging candidates walk the degradation ladder before
@@ -98,7 +97,6 @@ class Estimation:
         solver_options: Optional[dict] = None,
         seed: Optional[int] = 1,
         memo: bool = True,
-        batch_enabled: bool = True,
         retry_policy=None,
     ):
         self.model = model
@@ -119,7 +117,6 @@ class Estimation:
             solver=solver,
             solver_options=solver_options,
             memo=memo,
-            batch_enabled=batch_enabled,
             retry_policy=retry_policy,
         )
 
@@ -191,7 +188,7 @@ class Estimation:
             started = time.perf_counter()
             # Each generation scores as one batched fleet solve; the scorer
             # itself falls back to the sequential per-candidate loop when
-            # batching is disabled or the model cannot batch.
+            # the model cannot batch.
             ga_result = ga.run(
                 self.objective,
                 initial_guess=guess,

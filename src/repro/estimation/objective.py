@@ -70,7 +70,12 @@ class MeasurementSet:
                 f"measurement rows have no {time_column!r} column; columns are {list(rows[0])}"
             )
         columns = [c for c in rows[0] if c != time_column]
-        time = np.array([float(r[time_column]) for r in rows], dtype=float)
+        try:
+            time = np.array([float(r[time_column]) for r in rows], dtype=float)
+        except (TypeError, ValueError):
+            raise EstimationError(
+                f"measurement time column {time_column!r} holds a NULL or non-numeric value"
+            ) from None
         order = np.argsort(time, kind="stable")
         series = {}
         for column in columns:
@@ -121,6 +126,12 @@ class MeasurementSet:
 class SimulationObjective:
     """Callable objective ``theta -> error`` for a model/measurement pair.
 
+    Whole candidate populations score through :meth:`evaluate_population`
+    as one batched ``(pop, d)`` fleet solve whenever the model can batch
+    (:meth:`population_batchable`); other models sequentialize
+    automatically.  Batched values, evaluation counts and cache-hit counts
+    are identical to the sequential per-candidate path.
+
     Parameters
     ----------
     model:
@@ -151,16 +162,6 @@ class SimulationObjective:
         configuration are fixed for the lifetime of an objective, so a cache
         entry can never go stale within one estimation; disable with
         ``memo=False`` when mutating the model between calls.
-    batch_enabled:
-        Evaluate whole candidate populations as one batched ``(pop, d)``
-        fleet solve (:meth:`evaluate_population` via
-        :meth:`FmuModel.simulate_batch`) instead of one simulation per
-        candidate.  Batched values, evaluation counts and cache-hit counts
-        are identical to the sequential path; ``False`` forces the
-        per-candidate loop (the escape hatch the equivalence corpus and the
-        population benchmark flip).  Models that cannot batch (interpreted
-        path, non-vectorizable kernels) fall back to the sequential loop
-        automatically, as does a batched solve that fails mid-flight.
     retry_policy:
         Optional :class:`~repro.solvers.retry.RetryPolicy` applied when a
         candidate's simulation raises :class:`~repro.errors.SolverError`:
@@ -180,7 +181,6 @@ class SimulationObjective:
         solver_options: Optional[dict] = None,
         align_initial_state: bool = True,
         memo: bool = True,
-        batch_enabled: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
     ):
         self.model = model
@@ -236,7 +236,6 @@ class SimulationObjective:
         self.n_evaluations = 0
         self.retry_policy = retry_policy
         self.memo_enabled = bool(memo)
-        self.batch_enabled = bool(batch_enabled)
         self.n_cache_hits = 0
         self._memo: Dict[bytes, float] = {}
 
@@ -384,9 +383,9 @@ class SimulationObjective:
         * the model is left holding the last row's candidate values, the
           state the sequential loop's ``simulate`` side effect leaves.
 
-        Falls back to the sequential per-candidate loop when
-        ``batch_enabled`` is off, when the model cannot batch (interpreted
-        path or non-vectorizable kernel), or when the batched solve fails
+        Falls back to the sequential per-candidate loop when the model cannot
+        batch (interpreted path or non-vectorizable kernel, see
+        :meth:`population_batchable`), or when the batched solve fails
         mid-flight (the sequential rerun then penalizes the diverging
         candidates with ``inf`` exactly as :meth:`__call__` would).
         """
@@ -399,7 +398,7 @@ class SimulationObjective:
         n_rows = thetas.shape[0]
         if n_rows == 0:
             return np.empty(0)
-        if not (self.batch_enabled and self.population_batchable()):
+        if not self.population_batchable():
             return np.array([self(theta) for theta in thetas])
 
         errors = np.empty(n_rows)

@@ -11,8 +11,10 @@ from repro.data.nist import generate_hp1_dataset
 from repro.data.synthetic import scale_dataset
 from repro.errors import (
     DuplicateInstanceError,
+    EstimationError,
     PgFmuError,
     SimulationInputError,
+    SqlCatalogError,
     UnknownInstanceError,
     UnknownModelError,
 )
@@ -189,6 +191,39 @@ class TestSqlUdfSurface:
         ).scalar()
         assert errors.startswith("{") and errors.endswith("}")
         assert float(errors.strip("{}")) < 0.2
+
+    def test_fmu_parest_rejects_a_fifth_argument(self, session_with_data):
+        # fmu_parest takes 2..4 arguments; the batching choice is the model's.
+        with pytest.raises(SqlCatalogError, match="expects 2..4 arguments, got 5"):
+            session_with_data.execute(
+                "SELECT fmu_parest('{HP1Instance1}', '{SELECT * FROM measurements}', "
+                "'{Cp, R}', NULL, 'false')"
+            )
+        errors = session_with_data.execute(
+            "SELECT fmu_parest('{HP1Instance1}', '{SELECT * FROM measurements}', '{Cp, R}', 0.2)"
+        ).scalar()
+        assert float(errors.strip("{}")) < 0.2
+
+    @pytest.fixture()
+    def null_time_session(self, session_with_data):
+        session_with_data.execute(
+            "CREATE TABLE m2 (time double precision, u double precision, x double precision)"
+        )
+        session_with_data.execute("INSERT INTO m2 SELECT time, u, x FROM measurements")
+        session_with_data.execute("INSERT INTO m2 VALUES (NULL, 1.0, 20.0)")
+        return session_with_data
+
+    def test_fmu_simulate_null_time_is_a_typed_error(self, null_time_session):
+        with pytest.raises(SimulationInputError, match="time column 'time'"):
+            null_time_session.execute(
+                "SELECT count(*) FROM fmu_simulate('HP1Instance1', 'SELECT * FROM m2')"
+            )
+
+    def test_fmu_parest_null_time_is_a_typed_error(self, null_time_session):
+        with pytest.raises(EstimationError, match="time column 'time'"):
+            null_time_session.execute(
+                "SELECT fmu_parest('{HP1Instance1}', '{SELECT * FROM m2}', '{Cp, R}')"
+            )
 
     def test_nested_composition_query(self, session_with_data, tmp_path):
         mo_path = tmp_path / "hp1_nested.mo"

@@ -2,13 +2,14 @@
 
 The corpus draws random FMU models from the shared factory in
 ``tests/conftest.py``, manufactures measurements by simulating a perturbed
-"truth" instance, and asserts that a full `Estimation` run with
-``batch_enabled=True`` (every GA generation and local finite-difference
-stencil scored as one ``(pop, d)`` fleet solve) is **bit-identical** to
-``batch_enabled=False``: same parameters, same error, same evaluation and
-cache-hit counts, same GA history.  Fallback paths (interpreted models,
-mid-flight solver errors) and the duplicate-candidate memo accounting are
-pinned separately.
+"truth" instance, and asserts that a full `Estimation` run (every GA
+generation and local finite-difference stencil scored as one ``(pop, d)``
+fleet solve) is **bit-identical** to the sequential per-candidate path:
+same parameters, same error, same evaluation and cache-hit counts, same GA
+history.  The sequential reference is the path a non-batchable model takes,
+forced by patching the objective's ``population_batchable`` to ``False``.
+Fallback paths (interpreted models, mid-flight solver errors) and the
+duplicate-candidate memo accounting are pinned separately.
 """
 
 from __future__ import annotations
@@ -59,7 +60,12 @@ def _measurements_for(system, archive, seed: int) -> MeasurementSet:
     return MeasurementSet(time=grid, series=series)
 
 
-def _estimate(archive, system, measurements, seed, method, memo, batch_enabled):
+def _sequentialize(estimation: Estimation, monkeypatch) -> None:
+    """Force the per-candidate path a non-batchable model takes."""
+    monkeypatch.setattr(estimation.objective, "population_batchable", lambda: False)
+
+
+def _estimate(archive, system, measurements, seed, method, memo, batched, monkeypatch):
     estimation = Estimation(
         FmuModel(archive),
         measurements,
@@ -69,8 +75,9 @@ def _estimate(archive, system, measurements, seed, method, memo, batch_enabled):
         local_options=dict(CORPUS_LOCAL),
         seed=seed,
         memo=memo,
-        batch_enabled=batch_enabled,
     )
+    if not batched:
+        _sequentialize(estimation, monkeypatch)
     return estimation.estimate(method)
 
 
@@ -89,30 +96,36 @@ def _assert_bit_identical(batched, sequential, context: str) -> None:
 class TestPopulationBatchCorpus:
     @pytest.mark.parametrize("memo", [True, False])
     @pytest.mark.parametrize("seed", range(20))
-    def test_global_runs_bit_identical(self, seed, memo, random_system, random_archive):
+    def test_global_runs_bit_identical(
+        self, seed, memo, random_system, random_archive, monkeypatch
+    ):
         system = random_system(seed)
         archive = random_archive(f"popbatch{seed}", system)
         assert archive.ode_system.kernel.supports_batch
         measurements = _measurements_for(system, archive, seed)
         results = [
-            _estimate(archive, system, measurements, 100 + seed, "global", memo, batch)
-            for batch in (True, False)
+            _estimate(
+                archive, system, measurements, 100 + seed, "global", memo, batched,
+                monkeypatch,
+            )
+            for batched in (True, False)
         ]
         _assert_bit_identical(results[0], results[1], f"seed={seed} memo={memo}")
 
     @pytest.mark.parametrize("memo", [True, False])
     @pytest.mark.parametrize("seed", range(0, 20, 2))
     def test_global_plus_local_runs_bit_identical(
-        self, seed, memo, random_system, random_archive
+        self, seed, memo, random_system, random_archive, monkeypatch
     ):
         system = random_system(seed)
         archive = random_archive(f"popbatchgl{seed}", system)
         measurements = _measurements_for(system, archive, seed)
         results = [
             _estimate(
-                archive, system, measurements, 200 + seed, "global+local", memo, batch
+                archive, system, measurements, 200 + seed, "global+local", memo, batched,
+                monkeypatch,
             )
-            for batch in (True, False)
+            for batched in (True, False)
         ]
         _assert_bit_identical(results[0], results[1], f"seed={seed} memo={memo}")
 
@@ -125,13 +138,14 @@ class TestPopulationBatchFallbacks:
         return hp1_week_dataset.to_measurement_set()
 
     def test_interpreted_model_falls_back_and_matches(self, hp1_week_dataset):
-        """compiled_enabled=False cannot batch: the batched run must quietly
-        sequentialize and agree with batch_enabled=False exactly."""
+        """compiled_enabled=False cannot batch: the run must quietly
+        sequentialize and agree exactly with the batched compiled run
+        (scalar interpreted and compiled solves are bit-identical)."""
         measurements = self._hp1_measurements(hp1_week_dataset)
         results = {}
-        for batch in (True, False):
+        for compiled in (True, False):
             archive = build_hp1_archive()
-            archive.ode_system.compiled_enabled = False
+            archive.ode_system.compiled_enabled = compiled
             estimation = Estimation(
                 load_fmu(archive),
                 measurements,
@@ -139,10 +153,9 @@ class TestPopulationBatchFallbacks:
                 ga_options={"population_size": 6, "generations": 2, "patience": None},
                 local_options={"max_iterations": 5},
                 seed=5,
-                batch_enabled=batch,
             )
-            assert estimation.objective.population_batchable() is False
-            results[batch] = estimation.estimate("global+local")
+            assert estimation.objective.population_batchable() is compiled
+            results[compiled] = estimation.estimate("global+local")
         _assert_bit_identical(results[True], results[False], "interpreted fallback")
 
     def test_injected_solver_error_mid_generation_matches(
@@ -152,7 +165,7 @@ class TestPopulationBatchFallbacks:
         change any result: the objective bisects down to sequential scoring."""
         measurements = self._hp1_measurements(hp1_week_dataset)
 
-        def run(batch: bool):
+        def run(batched: bool):
             estimation = Estimation(
                 load_fmu(build_hp1_archive()),
                 measurements,
@@ -160,8 +173,9 @@ class TestPopulationBatchFallbacks:
                 ga_options={"population_size": 6, "generations": 2, "patience": None},
                 local_options={"max_iterations": 5},
                 seed=7,
-                batch_enabled=batch,
             )
+            if not batched:
+                _sequentialize(estimation, monkeypatch)
             return estimation.estimate("global+local")
 
         sequential = run(False)

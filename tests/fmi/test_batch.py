@@ -153,16 +153,10 @@ class TestBatchSolvers:
         solution = get_solver("rk45").solve_batch(problem)
         assert int(solution.n_steps[1]) > int(solution.n_steps[0])
 
-    def test_base_class_fallback_matches_override(self):
-        class FallbackEuler(EulerSolver):
-            solve_batch = OdeSolver.solve_batch
-
+    def test_base_class_has_no_row_fallback(self):
         problem, _ = _linear_batch_problem()
-        grid = np.linspace(0.0, 2.0, 11)
-        vectorized = EulerSolver().solve_batch(problem, output_times=grid)
-        problem2, _ = _linear_batch_problem()
-        rowwise = FallbackEuler().solve_batch(problem2, output_times=grid)
-        np.testing.assert_allclose(vectorized.states, rowwise.states, rtol=0, atol=1e-12)
+        with pytest.raises(NotImplementedError):
+            OdeSolver().solve_batch(problem)
 
     def test_batch_divergence_raises(self):
         def rhs(t, X, _u):
@@ -598,14 +592,15 @@ class TestSimulateManyBatching:
         return session_with_data, ids
 
     def test_batched_equals_sequential_path(self, fleet_session):
+        # The per-instance oracle: one Session.simulate per id runs the
+        # unbatched single-instance path.
         session, ids = fleet_session
         query = "SELECT * FROM measurements"
-        session.simulator.batch_enabled = True
         batched = session.simulate_many(ids, query)
-        session.simulator.batch_enabled = False
-        sequential = session.simulate_many(ids, query)
-        session.simulator.batch_enabled = True
-        assert list(batched) == list(sequential) == ids
+        sequential = {instance_id: session.simulate(instance_id, query) for instance_id in ids}
+        assert list(batched) == ids
+        for instance_id in ids:
+            assert "batched" not in sequential[instance_id].solver_stats
         for instance_id in ids:
             assert batched[instance_id].solver_stats.get("batched") is True
             for name in sequential[instance_id].variables:
@@ -622,11 +617,13 @@ class TestSimulateManyBatching:
         batched_rows = session.execute(
             f"SELECT * FROM fmu_simulate('{literal}', 'SELECT * FROM measurements')"
         ).rows
-        session.simulator.batch_enabled = False
-        sequential_rows = session.execute(
-            f"SELECT * FROM fmu_simulate('{literal}', 'SELECT * FROM measurements')"
-        ).rows
-        session.simulator.batch_enabled = True
+        sequential_rows = [
+            row
+            for instance_id in ids
+            for row in session.execute(
+                f"SELECT * FROM fmu_simulate('{instance_id}', 'SELECT * FROM measurements')"
+            ).rows
+        ]
         assert len(batched_rows) == len(sequential_rows) > 0
         for got, want in zip(batched_rows, sequential_rows):
             assert got[:3] == want[:3]
