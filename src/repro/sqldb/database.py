@@ -14,7 +14,8 @@ the layered public API builds on:
   (:mod:`repro.sqldb.connection`) delegates to.  Snapshots are taken
   **copy-on-write**: :meth:`begin` records nothing; the first mutation of
   each table (through :attr:`Table.write_hook`) captures that table's
-  pre-image, so a transaction costs O(tables written), not O(database size).
+  pre-image in O(1) (:meth:`Table.snapshot`), so a transaction costs
+  O(tables written); a rollback rebuilds their indexes, O(rows) per table.
 
 The facade also owns the query-planning machinery: a secondary-index
 catalogue (``CREATE INDEX``/``DROP INDEX``), and a plan cache - plans hang
@@ -114,9 +115,9 @@ class Database:
     """
 
     #: Statement types that mutate state and therefore run inside an
-    #: implicit statement-level transaction on a durable database, so a
-    #: mid-statement failure (constraint violation, WAL I/O error) leaves
-    #: the in-memory tables exactly as they were before the statement.
+    #: implicit statement-level transaction, so a mid-statement failure
+    #: (constraint violation, WAL I/O error) leaves the tables exactly as
+    #: they were before the statement.
     _MUTATING_STATEMENTS = (
         InsertStatement,
         UpdateStatement,
@@ -514,15 +515,12 @@ class Database:
                     del self._active_tokens[key]
 
     def _dispatch(self, statement, params: Optional[Sequence[Any]]) -> ResultSet:
-        """Execute a statement, wrapping durable DML in an implicit
-        statement-level transaction (statement atomicity: a failure midway
-        - constraint violation, WAL append/sync error - rolls the tables
-        back to their pre-statement state instead of leaving partial rows)."""
-        if (
-            self.storage is not None
-            and self._txn is None
-            and isinstance(statement, self._MUTATING_STATEMENTS)
-        ):
+        """Execute a statement, wrapping DML and DDL in an implicit
+        statement-level transaction, durable or in memory (statement
+        atomicity, as in PostgreSQL: a failure midway - constraint
+        violation, WAL append/sync error - rolls the tables back instead of
+        leaving partial rows)."""
+        if self._txn is None and isinstance(statement, self._MUTATING_STATEMENTS):
             self.begin()
             try:
                 result = self._executor.execute(statement, params=params)
@@ -742,7 +740,7 @@ class Database:
 
         Only tables recorded as written (or created/dropped) are touched:
         written and dropped tables are restored from their pre-images
-        (secondary indexes rebuilt), tables created inside the transaction
+        (all indexes rebuilt), tables created inside the transaction
         disappear, and the index catalogue reverts.
         """
         try:

@@ -296,7 +296,7 @@ class OrderedIndex:
     """A single-column ordered secondary index backed by :class:`BTree`.
 
     Interface-compatible with the hash ``SecondaryIndex`` where it matters to
-    the table layer (``add``/``rebuild``/``lookup``/``clear``/``discard``),
+    the table layer (``add``/``rebuild``/``lookup``/``discard``),
     plus the ordered operations used by the planner's range scans.
     """
 
@@ -367,10 +367,6 @@ class OrderedIndex:
         fresh = OrderedIndex(self.name, self.columns, self.positions)
         fresh.rebuild(rows)
         return fresh
-
-    def clear(self) -> None:
-        self.tree = BTree()
-        self.null_positions = []
 
     # -- lookup -----------------------------------------------------------
 

@@ -221,9 +221,6 @@ class StorageEngine:
     def log_update(self, table: str, pairs: Sequence[Tuple[int, Sequence[Any]]]) -> None:
         self._log(walmod.update_record(table, pairs))
 
-    def log_truncate(self, table: str) -> None:
-        self._log(walmod.truncate_record(table))
-
     def log_ddl(self, payload: Dict[str, Any]) -> None:
         self._log(walmod.ddl_record(payload))
 

@@ -187,8 +187,6 @@ def _apply(database, op: Dict[str, Any]) -> None:
             table = database._tables[op["table"]]
             for position, row in op["pairs"]:
                 table._rows[position] = row
-        elif kind == walmod.REC_TRUNCATE:
-            database._tables[op["table"]]._rows = []
         elif kind == walmod.REC_DDL:
             _apply_ddl(database, op["ddl"])
         else:

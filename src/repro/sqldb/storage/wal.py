@@ -11,7 +11,7 @@ kind     name        body
 3        INSERT      table name + encoded row (:mod:`.record`)
 4        DELETE      table name + u32 count + count * u32 row positions
 5        UPDATE      table name + u32 count + count * (u32 pos, row)
-6        TRUNCATE    table name
+6        (reserved)  retired TRUNCATE; never reused
 7        DDL         u32 length + JSON payload (create/drop table/index)
 8        CHECKPOINT  u64 checkpoint id
 ======== =========== ====================================================
@@ -48,7 +48,7 @@ REC_COMMIT = 2
 REC_INSERT = 3
 REC_DELETE = 4
 REC_UPDATE = 5
-REC_TRUNCATE = 6
+# Kind 6 is reserved (a retired TRUNCATE record): never reuse it.
 REC_DDL = 7
 REC_CHECKPOINT = 8
 
@@ -105,10 +105,6 @@ def update_record(table: str, pairs: Sequence[Tuple[int, Sequence[Any]]]) -> byt
     return bytes(out)
 
 
-def truncate_record(table: str) -> bytes:
-    return bytes([REC_TRUNCATE]) + _encode_name(table)
-
-
 def ddl_record(payload: Dict[str, Any]) -> bytes:
     data = json.dumps(payload, sort_keys=True).encode("utf-8")
     return bytes([REC_DDL]) + struct.pack("<I", len(data)) + data
@@ -141,9 +137,6 @@ def parse_record(data: bytes) -> Dict[str, Any]:
                 pairs.append((position, decode_row(data[offset : offset + length])))
                 offset += length
             return {"kind": kind, "table": table, "pairs": pairs}
-        if kind == REC_TRUNCATE:
-            table, _ = _decode_name(data, 1)
-            return {"kind": kind, "table": table}
         if kind == REC_DDL:
             (length,) = struct.unpack_from("<I", data, 1)
             payload = json.loads(data[5 : 5 + length].decode("utf-8"))

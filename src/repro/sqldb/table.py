@@ -74,9 +74,6 @@ class SecondaryIndex:
         fresh.rebuild(rows)
         return fresh
 
-    def clear(self) -> None:
-        self.map = {}
-
     def lookup(self, key_values: Sequence[Any]) -> List[int]:
         key = tuple(_key_of(v) for v in key_values)
         return self.map.get(key, [])
@@ -110,6 +107,12 @@ class Table:
     ``write_hook`` (when set by the owning database) is invoked before any
     mutation; the database uses it to take lazy copy-on-write transaction
     snapshots, so a transaction only pays for the tables it actually writes.
+    A snapshot is O(1) thanks to an invariant every mutator must keep: the
+    only in-place change to the row list is an append (:meth:`insert`, and
+    its ``pop`` of that row when an index write fails); other mutators
+    install a new list, and rows themselves are never mutated.  WAL replay
+    sets rows in place (``REC_UPDATE``), but only while storage attaches,
+    before any transaction exists.
 
     ``log_sink`` (set when the owning database has durable storage attached)
     receives one logical record *after* each successful mutation - the
@@ -170,17 +173,22 @@ class Table:
             return None
         return tuple(_key_of(row[i]) for i in positions)
 
-    def _rebuild_pk_index(self) -> None:
-        self._pk_index = {}
-        for i, row in enumerate(self._rows):
+    def _pk_index_over(self, rows: Sequence[Sequence[Any]]) -> Dict[Tuple, int]:
+        """The primary-key map of ``rows``; raises on a duplicate key."""
+        pk_index: Dict[Tuple, int] = {}
+        for i, row in enumerate(rows):
             key = self._pk_key(row)
             if key is None:
                 continue
-            if key in self._pk_index:
+            if key in pk_index:
                 raise SqlIntegrityError(
                     f"duplicate primary key {key!r} in table {self.name!r}"
                 )
-            self._pk_index[key] = i
+            pk_index[key] = i
+        return pk_index
+
+    def _rebuild_pk_index(self) -> None:
+        self._pk_index = self._pk_index_over(self._rows)
 
     def lookup_pk(self, key_values: Sequence[Any]) -> Optional[Dict[str, Any]]:
         """Point lookup by primary key; returns a dict row or None."""
@@ -376,37 +384,28 @@ class Table:
                 new_rows.append(row)
         if updated_pairs:
             self._before_write()
+            # Check keys first: a colliding UPDATE leaves the table untouched.
+            pk_index = self._pk_index_over(new_rows)
             rebuilt = {
                 name: index.rebuilt(new_rows) for name, index in self.indexes.items()
             }
             self._rows = new_rows
-            self._rebuild_pk_index()
+            self._pk_index = pk_index
             self.indexes = rebuilt
             if self.log_sink is not None:
                 self.log_sink.log_update(self.name, updated_pairs)
         return len(updated_pairs)
 
-    def truncate(self) -> None:
-        """Remove all rows."""
-        self._before_write()
-        if self.stats is not None:
-            self.stats.note_removed(len(self._rows))
-        self._rows = []
-        self._pk_index = {}
-        for index in self.indexes.values():
-            index.clear()
-        if self.log_sink is not None:
-            self.log_sink.log_truncate(self.name)
-
     # ------------------------------------------------------------------ #
     # Transaction support
     # ------------------------------------------------------------------ #
     def snapshot(self) -> "TableState":
-        """Capture the current contents for transaction rollback."""
+        """Capture the contents for rollback in O(1): by the append-only
+        invariant, the live list's first ``row_count`` rows never change."""
         return TableState(
             schema=self.schema,
-            rows=[list(row) for row in self._rows],
-            pk_index=dict(self._pk_index),
+            rows=self._rows,
+            row_count=len(self._rows),
             index_defs=[
                 (index.name, list(index.columns), index.kind)
                 for index in self.indexes.values()
@@ -415,10 +414,10 @@ class Table:
         )
 
     def restore(self, state: "TableState") -> None:
-        """Restore contents captured by :meth:`snapshot` (indexes are rebuilt)."""
+        """Restore contents captured by :meth:`snapshot` (all indexes rebuilt)."""
         self.schema = state.schema
-        self._rows = [list(row) for row in state.rows]
-        self._pk_index = dict(state.pk_index)
+        self._rows = state.rows[: state.row_count]
+        self._rebuild_pk_index()
         self.indexes = {}
         for name, columns, kind in state.index_defs:
             positions = [self.schema.column_position(c) for c in columns]
@@ -437,20 +436,20 @@ class Table:
 
 
 class TableState:
-    """Frozen copy of a table's contents, used for transaction rollback."""
+    """A table's pre-image for transaction rollback (see :meth:`Table.snapshot`)."""
 
-    __slots__ = ("schema", "rows", "pk_index", "index_defs", "stats")
+    __slots__ = ("schema", "rows", "row_count", "index_defs", "stats")
 
     def __init__(
         self,
         schema: TableSchema,
         rows: List[list],
-        pk_index: Dict[Tuple, int],
+        row_count: int,
         index_defs: Optional[List[Tuple[str, List[str], str]]] = None,
         stats: Optional[TableStats] = None,
     ):
         self.schema = schema
         self.rows = rows
-        self.pk_index = pk_index
+        self.row_count = row_count
         self.index_defs = index_defs or []
         self.stats = stats

@@ -203,13 +203,24 @@ class TestSqlDmlOracle:
                 db.execute("DELETE FROM t WHERE id = $1", [target])
                 del oracle[target]
             else:
-                # A transaction that mutates through the index, then rolls back.
+                # A transaction that mutates through the index, then rolls
+                # back.  The order is shuffled so an INSERT sometimes appends
+                # to the very row list the pre-image captured.
                 db.begin()
                 victim = rng.choice(list(oracle))
-                db.execute("UPDATE t SET v = $1 WHERE id = $2", [99.0, victim])
-                db.execute("INSERT INTO t VALUES ($1, 77.0)", [next_id + 5000])
-                db.execute("DELETE FROM t WHERE id = $1", [victim])
+                writes = [
+                    ("UPDATE t SET v = $1 WHERE id = $2", [99.0, victim]),
+                    ("INSERT INTO t VALUES ($1, 77.0)", [next_id + 5000]),
+                    ("DELETE FROM t WHERE id = $1", [victim]),
+                ]
+                rng.shuffle(writes)
+                for sql, params in writes:
+                    db.execute(sql, params)
                 db.rollback()
+                assert db.execute("SELECT count(*) FROM t").scalar() == len(oracle)
+                assert db.execute("SELECT v FROM t WHERE id = $1", [victim]).rows == [
+                    [oracle[victim]]
+                ]
             if step % 10 == 9:
                 low, high = sorted((float(rng.randint(0, 40)), float(rng.randint(0, 40))))
                 got = db.execute(self.RANGE_SQL, [low, high]).rows

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import sqlite3
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -451,6 +452,79 @@ class TestDmlAndDdl:
         database.execute("CREATE TABLE d (a integer, status text DEFAULT 'new')")
         database.execute("INSERT INTO d (a) VALUES (1)")
         assert database.execute("SELECT status FROM d").scalar() == "new"
+
+
+class TestStatementAtomicity:
+    """A failing DML statement on a plain in-memory database leaves no trace."""
+
+    @pytest.fixture()
+    def keyed(self, database):
+        database.execute("CREATE TABLE t (id integer PRIMARY KEY, v double precision)")
+        database.execute("CREATE INDEX idx_t_v ON t (v)")
+        database.execute("INSERT INTO t VALUES (0, 0.5), (1, 1.5), (2, 2.5)")
+        return database
+
+    def assert_untouched(self, db):
+        assert db.execute("SELECT id, v FROM t ORDER BY id").rows == [
+            [0, 0.5], [1, 1.5], [2, 2.5]
+        ]
+        # Served by the primary-key and the secondary index respectively.
+        for key, value in ((0, 0.5), (1, 1.5), (2, 2.5)):
+            assert db.execute("SELECT v FROM t WHERE id = $1", [key]).rows == [[value]]
+            assert db.execute("SELECT id FROM t WHERE v = $1", [value]).rows == [[key]]
+        assert db.execute("SELECT id FROM t WHERE id = 10").rows == []
+        assert db.execute("SELECT id FROM t WHERE v = 1.0").rows == []
+
+    def test_multi_row_insert_with_a_duplicate_key_inserts_nothing(self, keyed):
+        with pytest.raises(SqlIntegrityError):
+            keyed.execute("INSERT INTO t VALUES (10, 1.0), (0, 2.0)")
+        self.assert_untouched(keyed)
+
+    def test_update_onto_an_existing_key_changes_nothing(self, keyed):
+        with pytest.raises(SqlIntegrityError):
+            keyed.execute("UPDATE t SET id = 0 WHERE id = 2")
+        self.assert_untouched(keyed)
+
+    def test_update_onto_an_existing_key_in_a_transaction_changes_nothing(self, keyed):
+        # No statement-level rollback here: the table itself must refuse to
+        # install the colliding rows, or COMMIT would persist them.
+        keyed.begin()
+        with pytest.raises(SqlIntegrityError):
+            keyed.execute("UPDATE t SET id = 0 WHERE id = 2")
+        keyed.commit()
+        self.assert_untouched(keyed)
+
+
+class TestTransactionPreImage:
+    def test_first_write_does_not_copy_the_table(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id integer PRIMARY KEY, v double precision)")
+        db.execute("CREATE INDEX idx_t_v ON t USING BTREE (v)")
+        db.insert_rows("t", ([i, float(i % 500)] for i in range(20_000)))
+        range_sql = "SELECT count(*), min(id), max(id) FROM t WHERE v BETWEEN $1 AND $2"
+        assert "IndexRangeScan" in db.explain(range_sql, [10.0, 12.0])
+
+        def answers():
+            return (
+                db.execute("SELECT count(*) FROM t").scalar(),
+                db.execute("SELECT v FROM t WHERE id = $1", [12_345]).rows,
+                db.execute("SELECT v FROM t WHERE id = $1", [20_000]).rows,
+                db.execute(range_sql, [10.0, 12.0]).rows,
+            )
+
+        before = answers()
+        db.begin()
+        tracemalloc.start()
+        try:
+            db.execute("INSERT INTO t VALUES ($1, $2)", [20_000, 11.0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A copied pre-image of 20 000 rows would take megabytes.
+        assert peak < 64 * 1024
+        assert db.execute("SELECT count(*) FROM t").scalar() == 20_001
+        db.rollback()
+        assert answers() == before
 
 
 class TestPreparedAndUdfs:
